@@ -7,6 +7,29 @@ epsilon of the incumbent lower bound, and snapshot-caches the surviving
 intervals whenever pruning happened. The loop runs while more than one
 configuration remains; the incumbent is returned.
 
+Only the probed configuration's interval changes in a round, so the loop
+keeps the active set in an :class:`ActiveSet` index that moves one entry per
+round instead of rescanning every configuration. The engine's own work per
+round is O(log n) comparisons plus list insertions and deletions (a memory
+move of at most n pointers); scanning configurations is left to the
+scheduler's own ``pick_next``. The warm-up sweeps run as two queues built
+once each. Pruning walks in from the low-upper end of the ranked order:
+``upper - incumbent_lower`` is monotone in ``upper`` under float
+subtraction, so exactly the configurations the rule selects are visited,
+plus one. Snapshots are lazy: a snapshot only bumps a counter, and a
+configuration's ``cached_ci`` is set from its ``ci`` when the configuration
+is next probed, when it is pruned, and when the run returns. Its ``ci``
+cannot change in between, so every configuration ends the run with the same
+``ci``, ``cached_ci`` and ``active`` values as an eager snapshot would give.
+
+Gradient-CI receives the active configurations already ranked by
+``(-upper, id)``, with each configuration's gradient estimate computed once
+when it is probed. Its sum G over the non-leaders is recomputed left to
+right in ranked order on every pick, not kept as a running total: float
+addition is not associative, so a total patched by one term per round (or
+``sum()``, which uses compensated summation from Python 3.12) would drift
+from it and flip decisions near ties.
+
 Also provides the anytime best-guess output and budget-limited runs.
 """
 
@@ -14,8 +37,9 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ci_estimator import BoundInputs, clamp_to_cached, lower_bound, upper_bound
 from .core import (
@@ -32,6 +56,7 @@ from .probes import ProbeBackend
 from .scheduler import GradientEstimate, SchedulerKind, next_sample_size, pick_next
 
 __all__ = [
+    "ActiveSet",
     "EngineState",
     "FinalEvaluation",
     "anytime_best_guess",
@@ -56,13 +81,93 @@ class EngineState:
     round_index: int = 0
     trace: RunTrace = field(default_factory=RunTrace)
     budget_stopped: bool = False
-    _prev_ci: dict[int, ConfidenceInterval] = field(default_factory=dict, repr=False)
 
     def by_id(self, config_id: int) -> ConfigurationState:
         return self.configs[config_id - 1]
 
     def active_configs(self) -> list[ConfigurationState]:
         return [self.by_id(i) for i in sorted(self.active_set)]
+
+
+class ActiveSet:
+    """Index of a run's active configurations, updated one entry at a time.
+
+    ``ids`` holds the active ids in ascending order and ``ranked`` the active
+    configurations ordered by ``(-upper, id)``: the order gradient-CI ranks
+    by, with the prune candidates at its low-upper end. ``active`` is the set
+    of active ids. ``update`` and ``prune`` find an entry by bisection.
+
+    Snapshots are lazy. ``prune`` counts a snapshot in ``snapshots``, and a
+    configuration's ``cached_ci`` is set from its ``ci`` only when it is read
+    through :meth:`cached`: before its interval changes, when it is pruned,
+    and in :meth:`flush`. Until then its ``ci`` is the one the snapshot saw.
+    """
+
+    def __init__(self, configs: Sequence[ConfigurationState]):
+        """``configs[i]`` must have id ``i + 1``, as the engine requires."""
+        self._configs = list(configs)
+        self.ids = [c.id for c in configs if c.active]
+        self.active = set(self.ids)
+        self.snapshots = 0
+        self._synced = [0] * len(configs)
+        self.ranked = sorted((c for c in configs if c.active), key=_rank)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def cached(self, cfg: ConfigurationState) -> ConfidenceInterval:
+        """``cfg.cached_ci``, first brought up to date if ``cfg`` is active."""
+        if cfg.active and self._synced[cfg.id - 1] != self.snapshots:
+            cfg.cached_ci = cfg.ci
+            self._synced[cfg.id - 1] = self.snapshots
+        return cfg.cached_ci
+
+    def update(self, cfg: ConfigurationState, ci: ConfidenceInterval) -> None:
+        """Give ``cfg`` the interval ``ci`` and move its ranked entry."""
+        if not cfg.active:
+            cfg.ci = ci
+            return
+        self.cached(cfg)
+        self._unrank(cfg)
+        cfg.ci = ci
+        self.ranked.insert(bisect_left(self.ranked, _rank(cfg), key=_rank), cfg)
+
+    def due(self, incumbent_lower: float, epsilon: float) -> tuple[int, ...]:
+        """Ascending ids of the active configurations the prune rule selects:
+        ``upper - incumbent_lower <= epsilon``."""
+        due = []
+        for cfg in reversed(self.ranked):
+            if cfg.ci.upper - incumbent_lower > epsilon:
+                break
+            due.append(cfg.id)
+        return tuple(sorted(due))
+
+    def prune(self, ids: Sequence[int]) -> None:
+        """Deactivate every active id in ``ids`` (others are skipped); when
+        ``ids`` is not empty, take a snapshot of the configurations left."""
+        for cid in ids:
+            if cid not in self.active:
+                continue
+            cfg = self._configs[cid - 1]
+            self.cached(cfg)
+            self._unrank(cfg)
+            del self.ids[bisect_left(self.ids, cid)]
+            self.active.discard(cid)
+            cfg.active = False
+        if ids:
+            self.snapshots += 1
+
+    def flush(self) -> None:
+        """Bring every active configuration's ``cached_ci`` up to date."""
+        for cfg in self.ranked:
+            self.cached(cfg)
+
+    def _unrank(self, cfg: ConfigurationState) -> None:
+        del self.ranked[bisect_left(self.ranked, _rank(cfg), key=_rank)]
+
+
+def _rank(cfg: ConfigurationState) -> tuple[float, int]:
+    return (-cfg.ci.upper, cfg.id)
 
 
 def _validate_setup(
@@ -126,27 +231,21 @@ def _next_probe_sizes(
     return s_tr, s_te
 
 
-def _choose_next(state: EngineState, scheduler: SchedulerKind, force_full: bool) -> int:
-    """Warm-up sweeps (every configuration probed at the initial size, then
-    once grown) in ascending id order; afterwards the scheduler decides."""
-    active = state.active_configs()
-    if force_full:
-        return active[0].id
-    for want in (0, 1):
-        for cfg in active:
-            if len(cfg.history) == want:
-                return cfg.id
-    grads = {
-        cfg.id: _gradient_estimate(state, cfg)
-        for cfg in active
-        if len(cfg.history) >= 2
-    }
-    return pick_next(scheduler, active, grads)
+def _warmup(configs: Sequence[ConfigurationState]) -> Iterator[ConfigurationState]:
+    """Warm-up sweeps in ascending id order: every active configuration not
+    yet probed, then every one probed once. Each queue is built when its
+    sweep starts; entries pruned meanwhile are skipped."""
+    for probes in (0, 1):
+        queue = [c for c in configs if c.active and len(c.history) == probes]
+        for cfg in queue:
+            if cfg.active:
+                yield cfg
 
 
-def _gradient_estimate(state: EngineState, cfg: ConfigurationState) -> GradientEstimate:
+def _gradient_estimate(
+    cfg: ConfigurationState, prev_ci: ConfidenceInterval
+) -> GradientEstimate:
     last, prev = cfg.history[-1], cfg.history[-2]
-    prev_ci = state._prev_ci[cfg.id]
     return GradientEstimate(
         delta_cost=max(0.0, last.cost - prev.cost),
         delta_lower=cfg.ci.lower - prev_ci.lower,
@@ -162,18 +261,25 @@ def _run(
     budget: float | None,
 ) -> EngineState:
     _validate_setup(configs, backend, params)
+    active = ActiveSet(configs)
     state = EngineState(
         configs=list(configs),
         params=params,
         incumbent_id=configs[0].id,
-        active_set={c.id for c in configs if c.active},
+        active_set=active.active,
     )
     state.trace.params = params
     guard_limit = _round_guard_limit(params)
     force_full = False
+    warmup = _warmup(state.configs)
+    grads: dict[int, GradientEstimate] = {}
 
-    while len(state.active_set) > 1:
-        cfg = state.by_id(_choose_next(state, scheduler, force_full))
+    while len(active) > 1:
+        cfg = state.by_id(active.ids[0]) if force_full else next(warmup, None)
+        if cfg is None:
+            # Every scheduler breaks ties by id, so the order of its input
+            # does not change its pick; gradient-CI needs it ranked.
+            cfg = state.by_id(pick_next(scheduler, active.ranked, grads))
         s_tr, s_te = _next_probe_sizes(cfg, params, force_full)
 
         if budget is not None:
@@ -212,37 +318,33 @@ def _run(
                 full_test_size=params.max_test_size,
             )
             raw = clamp_interval(lower_bound(inp), upper_bound(inp))
-        ci, disjoint = clamp_to_cached(raw, cfg.cached_ci)
+        cached = active.cached(cfg)
+        ci, disjoint = clamp_to_cached(raw, cached)
         if disjoint:
             msg = (
                 f"round {state.round_index}: interval [{raw.lower:.6f}, "
                 f"{raw.upper:.6f}] disjoint from snapshot "
-                f"[{cfg.cached_ci.lower:.6f}, {cfg.cached_ci.upper:.6f}] "
+                f"[{cached.lower:.6f}, {cached.upper:.6f}] "
                 f"for config {cfg.id}"
             )
             state.trace.flags.append(msg)
             logger.warning(msg)
 
-        state._prev_ci[cfg.id] = cfg.ci
+        prev_ci = cfg.ci
         cfg.append_probe(outcome)
         cfg.current_sample_size = outcome.train_sample_size
-        cfg.ci = ci
+        active.update(cfg, ci)
+        if len(cfg.history) >= 2:
+            grads[cfg.id] = _gradient_estimate(cfg, prev_ci)
 
         if ci.lower > state.incumbent_lower:
             state.incumbent_id = cfg.id
             state.incumbent_lower = ci.lower
 
-        pruned = tuple(
-            c.id
-            for c in state.active_configs()
-            if c.ci.upper - state.incumbent_lower <= params.epsilon
-        )
+        pruned = active.due(state.incumbent_lower, params.epsilon)
+        active.prune(pruned)
         for pid in pruned:
-            state.by_id(pid).active = False
-            state.active_set.discard(pid)
-        if pruned:
-            for c in state.active_configs():
-                c.cached_ci = c.ci
+            grads.pop(pid, None)
 
         state.trace.append(
             TraceRound(
@@ -265,17 +367,18 @@ def _run(
             )
             break
 
-        if not force_full and state.round_index >= guard_limit and len(state.active_set) > 1:
+        if not force_full and state.round_index >= guard_limit and len(active) > 1:
             force_full = True
             msg = (
                 f"round guard hit after {state.round_index} rounds with "
-                f"{len(state.active_set)} survivors; forcing exact full-data "
+                f"{len(active)} survivors; forcing exact full-data "
                 "evaluation of the remainder"
             )
             state.trace.flags.append(msg)
             logger.warning(msg)
 
-    survivors = sorted(state.active_set)
+    active.flush()
+    survivors = list(active.ids)
     if survivors and survivors != [state.incumbent_id]:
         msg = (
             f"termination with survivors {survivors} while the incumbent is "

@@ -28,15 +28,13 @@ import numpy as np
 from .baselines import HalvingParams, full_run, relative_accuracy_loss, successive_halving
 from .ci_estimator import BoundInputs, clamp_to_cached, lower_bound, upper_bound
 from .core import (
-    ConfidenceInterval,
-    FULL_INTERVAL,
     RunParams,
     RunTrace,
     TraceRound,
     clamp_interval,
     initial_states,
 )
-from .engine import run_abc, select_with_budget
+from .engine import ActiveSet, run_abc, select_with_budget
 from .probes import (
     CurveSpec,
     LearnerBackend,
@@ -520,14 +518,17 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
     cached snapshot interval, incumbent identity and lower-bound
     monotonicity, the prune condition, prune uniqueness, snapshot flag
     accounting, and snapshot count < n.
+
+    The replay keeps fresh configuration states in the engine's
+    :class:`~abcselect.engine.ActiveSet`, which gives the set the prune rule
+    selects and applies the recorded prunes and snapshots, so a round costs
+    O(log n). Each recorded prune is also checked against the rule directly.
     """
     issues: list[AuditIssue] = []
     n = params.n_configs
-    current: dict[int, ConfidenceInterval] = {i: FULL_INTERVAL for i in range(1, n + 1)}
-    cached: dict[int, ConfidenceInterval] = {i: FULL_INTERVAL for i in range(1, n + 1)}
-    active = set(range(1, n + 1))
+    states = initial_states([""] * n, params)
+    active = ActiveSet(states)
     incumbent_id, incumbent_lower = 1, 0.0
-    snapshots = 0
 
     for pos, row in enumerate(rounds):
         r = row.round_index
@@ -537,7 +538,8 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
         if not 1 <= cid <= n:
             issues.append(AuditIssue(r, f"unknown config id {cid}"))
             continue
-        if cid not in active:
+        cfg = states[cid - 1]
+        if not cfg.active:
             issues.append(AuditIssue(r, f"config {cid} probed after being pruned"))
 
         saturated = (
@@ -554,7 +556,8 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                 full_test_size=params.max_test_size,
             )
             raw = clamp_interval(lower_bound(inp), upper_bound(inp))
-        expected, _ = clamp_to_cached(raw, cached[cid])
+        cached = active.cached(cfg)
+        expected, _ = clamp_to_cached(raw, cached)
         if expected.lower != row.ci.lower or expected.upper != row.ci.upper:
             issues.append(
                 AuditIssue(
@@ -564,15 +567,15 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                     f"{expected.upper!r}]",
                 )
             )
-        if not row.ci.is_subset_of(cached[cid]):
+        if not row.ci.is_subset_of(cached):
             issues.append(
                 AuditIssue(
                     r,
                     f"nesting violated: [{row.ci.lower}, {row.ci.upper}] not inside "
-                    f"snapshot [{cached[cid].lower}, {cached[cid].upper}]",
+                    f"snapshot [{cached.lower}, {cached.upper}]",
                 )
             )
-        current[cid] = row.ci
+        active.update(cfg, row.ci)
 
         if row.ci.lower > incumbent_lower:
             incumbent_id, incumbent_lower = cid, row.ci.lower
@@ -585,9 +588,7 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                 )
             )
 
-        expected_pruned = tuple(
-            sorted(i for i in active if current[i].upper - incumbent_lower <= params.epsilon)
-        )
+        expected_pruned = active.due(incumbent_lower, params.epsilon)
         if tuple(sorted(row.pruned_ids)) != expected_pruned:
             issues.append(
                 AuditIssue(
@@ -597,27 +598,25 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                 )
             )
         for pid in row.pruned_ids:
-            if pid not in active:
+            if pid not in active.active:
                 issues.append(AuditIssue(r, f"config {pid} pruned twice"))
-            elif current[pid].upper - incumbent_lower > params.epsilon + 1e-12:
+            elif states[pid - 1].ci.upper - incumbent_lower > params.epsilon + 1e-12:
                 issues.append(
                     AuditIssue(
                         r,
                         f"prune condition violated for config {pid}: upper "
-                        f"{current[pid].upper} - incumbent lower {incumbent_lower} "
+                        f"{states[pid - 1].ci.upper} - incumbent lower {incumbent_lower} "
                         f"> epsilon {params.epsilon}",
                     )
                 )
-        active -= set(row.pruned_ids)
+        active.prune(row.pruned_ids)
         if row.snapshot != bool(row.pruned_ids):
             issues.append(AuditIssue(r, "snapshot flag inconsistent with pruning"))
-        if row.pruned_ids:
-            snapshots += 1
-            for i in active:
-                cached[i] = current[i]
 
-    if snapshots >= n:
-        issues.append(AuditIssue(None, f"{snapshots} snapshots but only {n} configurations"))
+    if active.snapshots >= n:
+        issues.append(
+            AuditIssue(None, f"{active.snapshots} snapshots but only {n} configurations")
+        )
     return issues
 
 

@@ -123,6 +123,9 @@ def gradient_ci_pick(
     else:
         g1 = g_lead.delta_cost / g_lead.delta_lower
 
+    # Left to right in ranked order, on every pick: float addition is not
+    # associative, so a running total or sum() (compensated from Python
+    # 3.12) could flip g1 <= G near ties.
     total = 0.0
     for cfg in ranked[1:]:
         g = grads[cfg.id]
