@@ -7,7 +7,7 @@ fully training every candidate.
 """
 
 from .baselines import HalvingParams, full_run, relative_accuracy_loss, successive_halving
-from .ci_estimator import BoundInputs, estimate_ci, lower_bound, upper_bound
+from .ci_estimator import lower_bound, upper_bound
 from .core import (
     BackendError,
     ConfidenceInterval,
@@ -26,6 +26,7 @@ from .engine import (
     build_report,
     run_abc,
     select_with_budget,
+    update_interval,
     verify_selection,
 )
 from .harness import (

@@ -6,47 +6,26 @@ Both bounds are Hoeffding-style: the upper bound starts from the train
 accuracy on the sampled training set and adds deviation terms for the
 training sample size and the full test set size; the lower bound starts
 from the test accuracy on the sampled test set and subtracts a deviation
-term for the test sample size.
+term for the test sample size. The number of configurations, delta and the
+full test set size come from the run's :class:`~abcselect.core.RunParams`,
+which validates them. :func:`abcselect.engine.update_interval` combines
+these pieces into the post-probe interval.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ConfidenceInterval, ConfigurationState, ProbeOutcome, clamp_interval
+from .core import ConfidenceInterval, ProbeOutcome, RunParams
 
 __all__ = [
-    "BoundInputs",
     "clamp_to_cached",
-    "estimate_ci",
     "lower_bound",
     "upper_bound",
 ]
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the bound formulas need besides the probe itself."""
-
-    outcome: ProbeOutcome
-    n_configs: int
-    delta: float
-    full_test_size: int
-
-    def __post_init__(self) -> None:
-        if self.n_configs < 1:
-            raise ValueError(f"n_configs must be >= 1, got {self.n_configs}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.full_test_size < self.outcome.test_sample_size:
-            raise ValueError(
-                f"full_test_size {self.full_test_size} smaller than probe test "
-                f"sample size {self.outcome.test_sample_size}"
-            )
-
-
-def upper_bound(inp: BoundInputs) -> float:
+def upper_bound(outcome: ProbeOutcome, params: RunParams) -> float:
     """Unclamped upper confidence bound of the real test accuracy.
 
     acc_train + sqrt(ln(4 n^2 / delta) / (2 s_tr))
@@ -56,18 +35,15 @@ def upper_bound(inp: BoundInputs) -> float:
     number of configurations and in the train accuracy. The caller clamps
     into [0, 1].
     """
-    s_tr = inp.outcome.train_sample_size
-    if s_tr < 1:
-        raise ValueError("train sample size must be >= 1")
-    log_term = math.log(4.0 * inp.n_configs * inp.n_configs / inp.delta)
+    log_term = math.log(4.0 * params.n_configs * params.n_configs / params.delta)
     return (
-        inp.outcome.train_accuracy
-        + math.sqrt(log_term / (2.0 * s_tr))
-        + math.sqrt(log_term / (2.0 * inp.full_test_size))
+        outcome.train_accuracy
+        + math.sqrt(log_term / (2.0 * outcome.train_sample_size))
+        + math.sqrt(log_term / (2.0 * params.max_test_size))
     )
 
 
-def lower_bound(inp: BoundInputs) -> float:
+def lower_bound(outcome: ProbeOutcome, params: RunParams) -> float:
     """Unclamped lower confidence bound of the real test accuracy.
 
     acc_test - sqrt(ln(2 n^2 / delta) / (2 s_te))
@@ -75,11 +51,8 @@ def lower_bound(inp: BoundInputs) -> float:
     Always <= the probe's test accuracy; nondecreasing in s_te,
     nonincreasing in the number of configurations.
     """
-    s_te = inp.outcome.test_sample_size
-    if s_te < 1:
-        raise ValueError("test sample size must be >= 1")
-    log_term = math.log(2.0 * inp.n_configs * inp.n_configs / inp.delta)
-    return inp.outcome.test_accuracy - math.sqrt(log_term / (2.0 * s_te))
+    log_term = math.log(2.0 * params.n_configs * params.n_configs / params.delta)
+    return outcome.test_accuracy - math.sqrt(log_term / (2.0 * outcome.test_sample_size))
 
 
 def clamp_to_cached(
@@ -99,14 +72,3 @@ def clamp_to_cached(
         ConfidenceInterval(max(raw.lower, cached.lower), min(raw.upper, cached.upper)),
         False,
     )
-
-
-def estimate_ci(config: ConfigurationState, inp: BoundInputs) -> ConfidenceInterval:
-    """Post-probe interval: bound formulas, [0, 1] clamp, snapshot clamp.
-
-    The result is always a subset of ``config.cached_ci``. Callers that need
-    the disjointness anomaly flag use :func:`clamp_to_cached` directly.
-    """
-    raw = clamp_interval(lower_bound(inp), upper_bound(inp))
-    nested, _ = clamp_to_cached(raw, config.cached_ci)
-    return nested

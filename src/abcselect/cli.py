@@ -9,6 +9,7 @@ The environment variable ABC_SEED overrides the configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -64,42 +65,40 @@ def _resolve(path_str: str, base_dir: Path) -> Path:
     return path if path.is_absolute() else base_dir / path
 
 
-def _build_backend(conf: dict, seed: int, base_dir: Path):
+def _parse_source(conf: dict, base_dir: Path, where: str) -> InstanceSource:
+    """The one instance source described by ``conf``, named ``where``: a
+    synthetic instance file or a CSV dataset with a learner grid. Relative
+    paths resolve against ``base_dir``; every file must exist."""
     _check_keys(
-        conf,
-        {"synthetic", "csv", "header", "holdout", "learners", "cost_model", "split_seed"},
-        "backend",
+        conf, {"synthetic", "csv", "header", "holdout", "learners", "split_seed"}, where
     )
     if ("synthetic" in conf) == ("csv" in conf):
-        raise ConfigError("backend needs exactly one of 'synthetic' or 'csv'")
+        raise ConfigError(f"{where} needs exactly one of 'synthetic' or 'csv'")
     if "synthetic" in conf:
         path = _resolve(conf["synthetic"], base_dir)
         if not path.exists():
             raise FileNotFoundError(f"synthetic instance file not found: {path}")
         try:
-            instance = SyntheticInstance.load(path)
+            return InstanceSource(name=where, synthetic=SyntheticInstance.load(path))
         except ValueError as exc:
             raise ConfigError(f"invalid synthetic instance {path}: {exc}") from exc
-        return SyntheticBackend(instance, seed=seed)
     csv_path = _resolve(conf["csv"], base_dir)
     if not csv_path.exists():
         raise FileNotFoundError(f"dataset file not found: {csv_path}")
-    handle = load_csv_dataset(
-        csv_path,
-        header=bool(conf.get("header", False)),
-        holdout=float(conf.get("holdout", 0.3)),
-        seed=int(conf.get("split_seed", 0)),
-    )
     try:
-        learners = [LearnerSpec.from_dict(d) for d in conf.get("learners", [])]
+        learners = tuple(LearnerSpec.from_dict(d) for d in conf.get("learners", []))
     except ValueError as exc:
-        raise ConfigError(f"invalid learners: {exc}") from exc
+        raise ConfigError(f"invalid learners in {where}: {exc}") from exc
     if not learners:
-        raise ConfigError("backend key 'learners' must list at least one learner")
-    cost_model = conf.get("cost_model")
-    if cost_model is not None:
-        cost_model = [tuple(pair) for pair in cost_model]
-    return LearnerBackend(handle, learners, seed=seed, cost_model=cost_model)
+        raise ConfigError(f"{where} key 'learners' must list at least one learner")
+    return InstanceSource(
+        name=where,
+        csv_path=str(csv_path),
+        learners=learners,
+        holdout=float(conf.get("holdout", 0.3)),
+        header=bool(conf.get("header", False)),
+        split_seed=int(conf.get("split_seed", 0)),
+    )
 
 
 def _build_params(conf: dict, backend, seed: int) -> RunParams:
@@ -155,8 +154,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     params_conf = conf.get("params", {})
     seed = _resolve_seed(params_conf)
-    base_dir = Path(args.config).resolve().parent
-    backend = _build_backend(conf.get("backend", {}), seed, base_dir)
+    backend_conf = dict(conf.get("backend", {}))
+    cost_model = backend_conf.pop("cost_model", None)
+    source = _parse_source(backend_conf, Path(args.config).resolve().parent, "backend")
+    if source.synthetic is not None:
+        backend = SyntheticBackend(source.synthetic, seed=seed)
+    else:
+        handle = load_csv_dataset(
+            source.csv_path, header=source.header, holdout=source.holdout,
+            seed=source.split_seed,
+        )
+        backend = LearnerBackend(handle, source.learners, seed=seed, cost_model=cost_model)
     params = _build_params(params_conf, backend, seed)
 
     method = args.method or conf.get("method", "abc")
@@ -167,9 +175,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         scheduler = SchedulerKind(sched_name)
     except ValueError as exc:
         raise ConfigError(f"unknown key 'scheduler' value {sched_name!r}") from exc
-    budget = conf.get("budget")
-    if args.budget is not None:
-        budget = args.budget
+    budget = args.budget if args.budget is not None else conf.get("budget")
+    if budget is not None and not (type(budget) in (int, float) and budget > 0):
+        raise ConfigError(f"key 'budget' must be a number > 0, got {budget!r}")
 
     out_conf = conf.get("output", {})
     _check_keys(out_conf, {"trace", "report"}, "output")
@@ -276,48 +284,10 @@ def _parse_experiment(conf: dict, base_dir: Path) -> tuple[ExperimentSpec, Path]
     )
     sources = []
     for i, inst in enumerate(conf.get("instances", [])):
-        _check_keys(
-            inst,
-            {"name", "synthetic", "csv", "header", "holdout", "learners", "split_seed"},
-            f"instances[{i}]",
-        )
-        name = inst.get("name", f"instance-{i}")
-        if "synthetic" in inst:
-            path = Path(inst["synthetic"])
-            if not path.is_absolute():
-                path = base_dir / path
-            if not path.exists():
-                raise FileNotFoundError(f"synthetic instance file not found: {path}")
-            try:
-                sources.append(
-                    InstanceSource(name=name, synthetic=SyntheticInstance.load(path))
-                )
-            except ValueError as exc:
-                raise ConfigError(f"invalid synthetic instance {path}: {exc}") from exc
-        elif "csv" in inst:
-            csv_path = Path(inst["csv"])
-            if not csv_path.is_absolute():
-                csv_path = base_dir / csv_path
-            if not csv_path.exists():
-                raise FileNotFoundError(f"dataset file not found: {csv_path}")
-            try:
-                learners = tuple(
-                    LearnerSpec.from_dict(d) for d in inst.get("learners", [])
-                )
-            except ValueError as exc:
-                raise ConfigError(f"invalid learners in instances[{i}]: {exc}") from exc
-            sources.append(
-                InstanceSource(
-                    name=name,
-                    csv_path=str(csv_path),
-                    learners=learners,
-                    holdout=float(inst.get("holdout", 0.3)),
-                    header=bool(inst.get("header", False)),
-                    split_seed=int(inst.get("split_seed", 0)),
-                )
-            )
-        else:
-            raise ConfigError(f"instances[{i}] needs 'synthetic' or 'csv'")
+        inst = dict(inst)
+        name = inst.pop("name", f"instance-{i}")
+        source = _parse_source(inst, base_dir, f"instances[{i}]")
+        sources.append(dataclasses.replace(source, name=name))
     try:
         spec = ExperimentSpec(
             sources=tuple(sources),

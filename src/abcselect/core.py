@@ -170,7 +170,6 @@ class ConfigurationState:
 
     id: int
     label: str
-    current_sample_size: int
     ci: ConfidenceInterval = FULL_INTERVAL
     cached_ci: ConfidenceInterval = FULL_INTERVAL
     history: list[ProbeOutcome] = field(default_factory=list)
@@ -180,8 +179,6 @@ class ConfigurationState:
     def __post_init__(self) -> None:
         if self.id < 1:
             raise ValueError(f"configuration id must be >= 1, got {self.id}")
-        if self.current_sample_size < 1:
-            raise ValueError("current_sample_size must be >= 1")
 
     @property
     def last_outcome(self) -> ProbeOutcome | None:
@@ -205,14 +202,7 @@ def initial_states(labels: list[str], params: RunParams) -> list[ConfigurationSt
         raise ValueError(
             f"{len(labels)} labels but params.n_configs = {params.n_configs}"
         )
-    return [
-        ConfigurationState(
-            id=i + 1,
-            label=label,
-            current_sample_size=params.initial_train_size,
-        )
-        for i, label in enumerate(labels)
-    ]
+    return [ConfigurationState(id=i + 1, label=label) for i, label in enumerate(labels)]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,11 @@ epsilon of the incumbent lower bound, and snapshot-caches the surviving
 intervals whenever pruning happened. The loop runs while more than one
 configuration remains; the incumbent is returned.
 
+One rule turns a probe into an interval, :func:`update_interval` (the
+saturation point, the two bounds, the [0, 1] clamp and the snapshot clamp),
+and one index, :class:`ActiveSet`, holds the ``(-upper, id)`` rank order and
+the prune rule. The loop and the structural audit's replay both use them.
+
 Only the probed configuration's interval changes in a round, so the loop
 keeps the active set in an :class:`ActiveSet` index that moves one entry per
 round instead of rescanning every configuration. The engine's own work per
@@ -28,7 +33,8 @@ when it is probed. Its sum G over the non-leaders is recomputed left to
 right in ranked order on every pick, not kept as a running total: float
 addition is not associative, so a total patched by one term per round (or
 ``sum()``, which uses compensated summation from Python 3.12) would drift
-from it and flip decisions near ties.
+from it and flip decisions near ties. It trusts the ranking and does not
+re-sort; a missing estimate is caught in that same left-to-right loop.
 
 Also provides the anytime best-guess output and budget-limited runs.
 """
@@ -41,11 +47,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .ci_estimator import BoundInputs, clamp_to_cached, lower_bound, upper_bound
+from .ci_estimator import clamp_to_cached, lower_bound, upper_bound
 from .core import (
     BackendError,
     ConfidenceInterval,
     ConfigurationState,
+    ProbeOutcome,
     RunParams,
     RunTrace,
     TraceRound,
@@ -63,6 +70,7 @@ __all__ = [
     "build_report",
     "run_abc",
     "select_with_budget",
+    "update_interval",
     "verify_selection",
 ]
 
@@ -170,6 +178,34 @@ def _rank(cfg: ConfigurationState) -> tuple[float, int]:
     return (-cfg.ci.upper, cfg.id)
 
 
+def update_interval(
+    outcome: ProbeOutcome, cached: ConfidenceInterval, params: RunParams
+) -> tuple[ConfidenceInterval, ConfidenceInterval, bool]:
+    """``(raw, nested, disjoint)`` after a probe of a configuration whose
+    snapshot interval is ``cached``.
+
+    ``raw`` is the exact point ``acc_test`` for a probe at full training and
+    test data, the two confidence bounds otherwise, clamped into [0, 1];
+    ``nested`` and ``disjoint`` are :func:`clamp_to_cached` of ``raw`` into
+    ``cached``. A test sample above the full test set, which only a trace
+    read from outside the program can hold, raises ``ValueError``.
+    """
+    if outcome.test_sample_size > params.max_test_size:
+        raise ValueError(
+            f"test sample size {outcome.test_sample_size} exceeds the full test "
+            f"set size {params.max_test_size}"
+        )
+    if (
+        outcome.train_sample_size >= params.max_train_size
+        and outcome.test_sample_size >= params.max_test_size
+    ):
+        raw = clamp_interval(outcome.test_accuracy, outcome.test_accuracy)
+    else:
+        raw = clamp_interval(lower_bound(outcome, params), upper_bound(outcome, params))
+    nested, disjoint = clamp_to_cached(raw, cached)
+    return raw, nested, disjoint
+
+
 def _validate_setup(
     configs: Sequence[ConfigurationState], backend: ProbeBackend, params: RunParams
 ) -> None:
@@ -217,11 +253,11 @@ def _next_probe_sizes(
         return params.max_train_size, params.max_test_size
     last = cfg.last_outcome
     if last is None:
-        s_tr = cfg.current_sample_size
+        s_tr = params.initial_train_size
         s_te = params.initial_test_size
     else:
         s_tr = next_sample_size(
-            cfg.current_sample_size, params.step_factor_c, params.max_train_size
+            last.train_sample_size, params.step_factor_c, params.max_train_size
         )
         s_te = next_sample_size(
             last.test_sample_size, params.step_factor_c, params.max_test_size
@@ -302,24 +338,8 @@ def _run(
             ) from exc
         state.round_index += 1
 
-        saturated = (
-            outcome.train_sample_size >= params.max_train_size
-            and outcome.test_sample_size >= params.max_test_size
-        )
-        if saturated:
-            # Full training and test data: the accuracy is measured exactly
-            # and the interval collapses to that point.
-            raw = clamp_interval(outcome.test_accuracy, outcome.test_accuracy)
-        else:
-            inp = BoundInputs(
-                outcome=outcome,
-                n_configs=params.n_configs,
-                delta=params.delta,
-                full_test_size=params.max_test_size,
-            )
-            raw = clamp_interval(lower_bound(inp), upper_bound(inp))
         cached = active.cached(cfg)
-        ci, disjoint = clamp_to_cached(raw, cached)
+        raw, ci, disjoint = update_interval(outcome, cached, params)
         if disjoint:
             msg = (
                 f"round {state.round_index}: interval [{raw.lower:.6f}, "
@@ -332,7 +352,6 @@ def _run(
 
         prev_ci = cfg.ci
         cfg.append_probe(outcome)
-        cfg.current_sample_size = outcome.train_sample_size
         active.update(cfg, ci)
         if len(cfg.history) >= 2:
             grads[cfg.id] = _gradient_estimate(cfg, prev_ci)

@@ -26,15 +26,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import HalvingParams, full_run, relative_accuracy_loss, successive_halving
-from .ci_estimator import BoundInputs, clamp_to_cached, lower_bound, upper_bound
 from .core import (
     RunParams,
     RunTrace,
     TraceRound,
-    clamp_interval,
     initial_states,
 )
-from .engine import ActiveSet, run_abc, select_with_budget
+from .engine import ActiveSet, run_abc, select_with_budget, update_interval
 from .probes import (
     CurveSpec,
     LearnerBackend,
@@ -519,10 +517,13 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
     monotonicity, the prune condition, prune uniqueness, snapshot flag
     accounting, and snapshot count < n.
 
-    The replay keeps fresh configuration states in the engine's
-    :class:`~abcselect.engine.ActiveSet`, which gives the set the prune rule
-    selects and applies the recorded prunes and snapshots, so a round costs
-    O(log n). Each recorded prune is also checked against the rule directly.
+    The replay recomputes each interval with the engine's own
+    :func:`~abcselect.engine.update_interval` and keeps fresh configuration
+    states in the engine's :class:`~abcselect.engine.ActiveSet`, which gives
+    the set the prune rule selects and applies the recorded prunes and
+    snapshots, so a round costs O(log n). Each recorded prune is also checked
+    against the rule directly. A row whose test sample exceeds the full test
+    set raises ``ValueError``.
     """
     issues: list[AuditIssue] = []
     n = params.n_configs
@@ -542,22 +543,8 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
         if not cfg.active:
             issues.append(AuditIssue(r, f"config {cid} probed after being pruned"))
 
-        saturated = (
-            row.outcome.train_sample_size >= params.max_train_size
-            and row.outcome.test_sample_size >= params.max_test_size
-        )
-        if saturated:
-            raw = clamp_interval(row.outcome.test_accuracy, row.outcome.test_accuracy)
-        else:
-            inp = BoundInputs(
-                outcome=row.outcome,
-                n_configs=n,
-                delta=params.delta,
-                full_test_size=params.max_test_size,
-            )
-            raw = clamp_interval(lower_bound(inp), upper_bound(inp))
         cached = active.cached(cfg)
-        expected, _ = clamp_to_cached(raw, cached)
+        _, expected, _ = update_interval(row.outcome, cached, params)
         if expected.lower != row.ci.lower or expected.upper != row.ci.upper:
             issues.append(
                 AuditIssue(

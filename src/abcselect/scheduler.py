@@ -7,6 +7,9 @@ Three schedulers decide which active configuration to probe next:
 * UCB: always probe the configuration with the highest upper bound;
 * round-robin: probe the configuration with the fewest probes so far.
 
+Gradient-CI takes its input already ranked by ``(-upper, id)``; UCB and
+round-robin break ties by id, so the order of their input does not matter.
+
 Sample sizes grow geometrically by a factor ``c``; for a cost model
 ``T(s) = s**alpha`` the worst-case-optimal factor is ``2**(1/alpha)``.
 """
@@ -94,43 +97,43 @@ def round_robin_pick(active: Sequence[ConfigurationState]) -> int:
 
 
 def gradient_ci_pick(
-    active: Sequence[ConfigurationState],
+    ranked: Sequence[ConfigurationState],
     grads: Mapping[int, GradientEstimate],
 ) -> int:
     """Pick between the top-two configurations by upper bound.
 
-    Rank active configurations by upper bound descending (ties: lowest id
-    first). Let g1 be the leader's cost per unit of lower-bound increase
-    (treated as +inf when its lower bound did not move up), and G the sum
-    over every other active configuration of |delta_cost / delta_upper|
-    (a term is 0 when that upper bound did not move down). The leader is
-    probed when g1 <= G, otherwise the runner-up is.
+    ``ranked`` holds the active configurations by upper bound descending,
+    ties lowest id first, as :class:`~abcselect.engine.ActiveSet` keeps
+    them; the order is not checked. Let g1 be the leader's cost per unit of
+    lower-bound increase (treated as +inf when its lower bound did not move
+    up), and G the sum over every other active configuration of
+    |delta_cost / delta_upper| (a term is 0 when that upper bound did not
+    move down). The leader is probed when g1 <= G, otherwise the runner-up is.
     """
-    if len(active) < 2:
+    if len(ranked) < 2:
         raise ValueError("gradient scheduling needs at least two active configurations")
-    for cfg in active:
-        if len(cfg.history) < 2 or cfg.id not in grads:
-            raise ValueError(
-                f"config {cfg.id} lacks the two probes required before "
-                "gradient scheduling"
-            )
-    ranked = sorted(active, key=lambda c: (-c.ci.upper, c.id))
     leader, runner_up = ranked[0], ranked[1]
-
-    g_lead = grads[leader.id]
-    if g_lead.delta_lower <= 0.0:
-        g1 = math.inf
-    else:
-        g1 = g_lead.delta_cost / g_lead.delta_lower
 
     # Left to right in ranked order, on every pick: float addition is not
     # associative, so a running total or sum() (compensated from Python
     # 3.12) could flip g1 <= G near ties.
     total = 0.0
-    for cfg in ranked[1:]:
-        g = grads[cfg.id]
-        if g.delta_upper < 0.0:
+    for cfg in ranked:
+        g = grads.get(cfg.id)
+        if g is None:
+            raise ValueError(
+                f"config {cfg.id} lacks the two probes required before "
+                "gradient scheduling"
+            )
+        if cfg is leader:
+            g_lead = g
+        elif g.delta_upper < 0.0:
             total += abs(g.delta_cost / g.delta_upper)
+
+    if g_lead.delta_lower <= 0.0:
+        g1 = math.inf
+    else:
+        g1 = g_lead.delta_cost / g_lead.delta_lower
     return leader.id if g1 <= total else runner_up.id
 
 
@@ -139,7 +142,8 @@ def pick_next(
     active: Sequence[ConfigurationState],
     grads: Mapping[int, GradientEstimate],
 ) -> int:
-    """Dispatch to the scheduler variant; singleton sets short-circuit."""
+    """Dispatch to the scheduler variant; singleton sets short-circuit.
+    Gradient-CI needs ``active`` ranked by ``(-upper, id)``."""
     if len(active) == 1:
         return active[0].id
     if kind is SchedulerKind.GRADIENT_CI:

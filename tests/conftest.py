@@ -30,6 +30,12 @@ def params_for(instance: SyntheticInstance, seed: int, epsilon: float = 0.01,
     )
 
 
+def bound_params(n: int = 5, delta: float = 0.5, full_test: int = 100_000) -> RunParams:
+    """Run parameters fixing what the bound formulas read from them: the
+    number of configurations, delta and the full test set size."""
+    return RunParams(0.01, delta, n, 1, 1, 2.0, 1.0, 10**12, full_test, 0)
+
+
 def fresh_run_inputs(instance: SyntheticInstance, seed: int, **kwargs):
     backend = SyntheticBackend(instance, seed=seed)
     params = params_for(instance, seed, **kwargs)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from abcselect.baselines import HalvingParams, relative_accuracy_loss, successive_halving
-from abcselect.ci_estimator import BoundInputs, lower_bound, upper_bound
+from abcselect.ci_estimator import lower_bound, upper_bound
 from abcselect.core import ProbeOutcome, RunParams, initial_states
 from abcselect.engine import run_abc, select_with_budget
 from abcselect.harness import (
@@ -26,7 +26,7 @@ from abcselect.harness import (
 from abcselect.probes import DatasetHandle, LearnerBackend, LearnerSpec, SyntheticBackend
 from abcselect.scheduler import SchedulerKind, next_sample_size, optimal_step_size
 
-from conftest import fresh_run_inputs
+from conftest import bound_params, fresh_run_inputs
 
 mp.mp.dps = 40
 
@@ -66,11 +66,11 @@ def test_criterion_1_bound_formulas_match_high_precision_oracle():
         return mp.mpf(repr(a_te)) - mp.sqrt(log_term / (2 * s_te))
 
     # the worked examples first
-    worked = BoundInputs(ProbeOutcome(1000, 2000, 0.85, 0.80, 1.0), 5, 0.5, 100_000)
-    assert abs(upper_bound(worked) - float(oracle_upper(0.85, 1000, 100_000, 5, 0.5))) < 1e-12
-    assert abs(upper_bound(worked) - 0.90662) < 5e-6
-    assert abs(lower_bound(worked) - float(oracle_lower(0.80, 2000, 5, 0.5))) < 1e-12
-    assert abs(lower_bound(worked) - 0.76607) < 5e-6
+    worked = ProbeOutcome(1000, 2000, 0.85, 0.80, 1.0), bound_params(5, 0.5, 100_000)
+    assert abs(upper_bound(*worked) - float(oracle_upper(0.85, 1000, 100_000, 5, 0.5))) < 1e-12
+    assert abs(upper_bound(*worked) - 0.90662) < 5e-6
+    assert abs(lower_bound(*worked) - float(oracle_lower(0.80, 2000, 5, 0.5))) < 1e-12
+    assert abs(lower_bound(*worked) - 0.76607) < 5e-6
 
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -82,9 +82,9 @@ def test_criterion_1_bound_formulas_match_high_precision_oracle():
         full_te = s_te + int(rng.integers(0, 10**9))
         a_tr = float(rng.uniform(0, 1))
         a_te = float(rng.uniform(0, 1))
-        inp = BoundInputs(ProbeOutcome(s_tr, s_te, a_tr, a_te, 0.0), n, delta, full_te)
-        du = abs(upper_bound(inp) - float(oracle_upper(a_tr, s_tr, full_te, n, delta)))
-        dl = abs(lower_bound(inp) - float(oracle_lower(a_te, s_te, n, delta)))
+        inp = ProbeOutcome(s_tr, s_te, a_tr, a_te, 0.0), bound_params(n, delta, full_te)
+        du = abs(upper_bound(*inp) - float(oracle_upper(a_tr, s_tr, full_te, n, delta)))
+        dl = abs(lower_bound(*inp) - float(oracle_lower(a_te, s_te, n, delta)))
         worst = max(worst, du, dl)
     elapsed = time.time() - t0
     assert worst < 1e-12

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import abcselect.engine as engine
-from abcselect.ci_estimator import BoundInputs, clamp_to_cached, lower_bound, upper_bound
+from abcselect.ci_estimator import clamp_to_cached, lower_bound, upper_bound
 from abcselect.core import (
     ConfidenceInterval,
     ProbeOutcome,
@@ -61,7 +61,8 @@ def reference_run(configs, backend, params, scheduler, guard_limit):
                 delta_lower=cfg.ci.lower - prev_ci[cfg.id].lower,
                 delta_upper=cfg.ci.upper - prev_ci[cfg.id].upper,
             )
-        return configs[pick_next(scheduler, active, grads) - 1]
+        ranked = sorted(active, key=lambda c: (-c.ci.upper, c.id))
+        return configs[pick_next(scheduler, ranked, grads) - 1]
 
     while len(active_set) > 1:
         cfg = choose()
@@ -71,12 +72,10 @@ def reference_run(configs, backend, params, scheduler, guard_limit):
         if s_tr >= params.max_train_size and s_te >= params.max_test_size:
             raw = clamp_interval(outcome.test_accuracy, outcome.test_accuracy)
         else:
-            inp = BoundInputs(outcome, params.n_configs, params.delta, params.max_test_size)
-            raw = clamp_interval(lower_bound(inp), upper_bound(inp))
+            raw = clamp_interval(lower_bound(outcome, params), upper_bound(outcome, params))
         ci, _ = clamp_to_cached(raw, cfg.cached_ci)
         prev_ci[cfg.id] = cfg.ci
         cfg.append_probe(outcome)
-        cfg.current_sample_size = outcome.train_sample_size
         cfg.ci = ci
         if ci.lower > incumbent_lower:
             incumbent_id, incumbent_lower = cfg.id, ci.lower

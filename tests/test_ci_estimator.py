@@ -3,19 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from abcselect.ci_estimator import (
-    BoundInputs,
-    clamp_to_cached,
-    estimate_ci,
-    lower_bound,
-    upper_bound,
-)
-from abcselect.core import (
-    ConfidenceInterval,
-    ConfigurationState,
-    ProbeOutcome,
-    clamp_interval,
-)
+from abcselect.ci_estimator import clamp_to_cached, lower_bound, upper_bound
+from abcselect.core import ConfidenceInterval, ProbeOutcome, clamp_interval
+from abcselect.engine import update_interval
+
+from conftest import bound_params
 
 # Frozen reference values, computed with a 40-digit evaluation of the bound
 # formulas (see test_acceptance for the live high-precision comparison).
@@ -25,21 +17,21 @@ L_REFERENCE = 0.7660692978779244
 
 def make_inputs(s_tr=1000, s_te=2000, a_tr=0.85, a_te=0.80, n=5, delta=0.5,
                 full_test=100_000):
-    outcome = ProbeOutcome(s_tr, s_te, a_tr, a_te, 1.0)
-    return BoundInputs(outcome, n, delta, full_test)
+    """A probe and the run parameters the bounds read, as a pair."""
+    return ProbeOutcome(s_tr, s_te, a_tr, a_te, 1.0), bound_params(n, delta, full_test)
 
 
 class TestUpperBound:
     def test_worked_value(self):
-        assert upper_bound(make_inputs()) == pytest.approx(U_REFERENCE, abs=1e-15)
+        assert upper_bound(*make_inputs()) == pytest.approx(U_REFERENCE, abs=1e-15)
 
     def test_vanishing_variation_terms(self):
         inp = make_inputs(s_tr=10**12, full_test=10**12)
-        assert upper_bound(inp) == pytest.approx(0.85, abs=1e-5)
+        assert upper_bound(*inp) == pytest.approx(0.85, abs=1e-5)
 
     def test_clamps_above_one(self):
         inp = make_inputs(s_tr=50, s_te=50, a_tr=0.99, full_test=100)
-        raw = upper_bound(inp)
+        raw = upper_bound(*inp)
         assert raw > 1.0
         assert clamp_interval(0.0, raw).upper == 1.0
 
@@ -48,26 +40,27 @@ class TestUpperBound:
             make_inputs(n=0)
         with pytest.raises(ValueError):
             make_inputs(delta=1.0)
+        outcome, params = make_inputs(full_test=100)  # smaller than the test sample
         with pytest.raises(ValueError):
-            make_inputs(full_test=100)  # smaller than the test sample
+            update_interval(outcome, ConfidenceInterval(0.0, 1.0), params)
 
 
 class TestLowerBound:
     def test_worked_value(self):
-        assert lower_bound(make_inputs()) == pytest.approx(L_REFERENCE, abs=1e-15)
+        assert lower_bound(*make_inputs()) == pytest.approx(L_REFERENCE, abs=1e-15)
 
     def test_clamps_below_zero(self):
         inp = make_inputs(s_te=10, a_te=0.02, full_test=100_000)
-        raw = lower_bound(inp)
+        raw = lower_bound(*inp)
         assert raw < 0.0
         assert clamp_interval(raw, 1.0).lower == 0.0
 
     def test_vanishing_variation_term(self):
         inp = make_inputs(s_te=10**12, full_test=10**12)
-        assert lower_bound(inp) == pytest.approx(0.80, abs=1e-5)
+        assert lower_bound(*inp) == pytest.approx(0.80, abs=1e-5)
 
     def test_never_exceeds_test_accuracy(self):
-        assert lower_bound(make_inputs()) <= 0.80
+        assert lower_bound(*make_inputs()) <= 0.80
 
 
 valid_inputs = st.builds(
@@ -82,51 +75,38 @@ valid_inputs = st.builds(
 )
 
 
+def grown(inp, **changes):
+    """``make_inputs`` arguments of ``inp`` with ``changes`` applied."""
+    outcome, params = inp
+    kwargs = dict(
+        s_tr=outcome.train_sample_size, s_te=outcome.test_sample_size,
+        a_tr=outcome.train_accuracy, a_te=outcome.test_accuracy,
+        n=params.n_configs, delta=params.delta, full_test=params.max_test_size,
+    )
+    kwargs.update(changes)
+    return make_inputs(**kwargs)
+
+
 class TestMonotonicity:
     @given(valid_inputs, st.integers(2, 100))
     def test_upper_nonincreasing_in_train_size(self, inp, factor):
-        bigger = make_inputs(
-            s_tr=inp.outcome.train_sample_size * factor,
-            s_te=inp.outcome.test_sample_size,
-            a_tr=inp.outcome.train_accuracy,
-            a_te=inp.outcome.test_accuracy,
-            n=inp.n_configs, delta=inp.delta, full_test=inp.full_test_size,
-        )
-        assert upper_bound(bigger) <= upper_bound(inp)
+        bigger = grown(inp, s_tr=inp[0].train_sample_size * factor)
+        assert upper_bound(*bigger) <= upper_bound(*inp)
 
     @given(valid_inputs, st.integers(2, 100))
     def test_upper_nondecreasing_in_n(self, inp, factor):
-        more = make_inputs(
-            s_tr=inp.outcome.train_sample_size,
-            s_te=inp.outcome.test_sample_size,
-            a_tr=inp.outcome.train_accuracy,
-            a_te=inp.outcome.test_accuracy,
-            n=inp.n_configs * factor, delta=inp.delta,
-            full_test=inp.full_test_size,
-        )
-        assert upper_bound(more) >= upper_bound(inp)
+        more = grown(inp, n=inp[1].n_configs * factor)
+        assert upper_bound(*more) >= upper_bound(*inp)
 
     @given(valid_inputs, st.integers(2, 100))
     def test_lower_nondecreasing_in_test_size(self, inp, factor):
-        bigger = make_inputs(
-            s_tr=inp.outcome.train_sample_size,
-            s_te=inp.outcome.test_sample_size * factor,
-            a_tr=inp.outcome.train_accuracy,
-            a_te=inp.outcome.test_accuracy,
-            n=inp.n_configs, delta=inp.delta, full_test=inp.full_test_size,
-        )
-        assert lower_bound(bigger) >= lower_bound(inp)
+        bigger = grown(inp, s_te=inp[0].test_sample_size * factor)
+        assert lower_bound(*bigger) >= lower_bound(*inp)
 
     @given(valid_inputs, st.floats(0.0, 0.2))
     def test_upper_nondecreasing_in_train_accuracy(self, inp, bump):
-        higher = make_inputs(
-            s_tr=inp.outcome.train_sample_size,
-            s_te=inp.outcome.test_sample_size,
-            a_tr=min(1.0, inp.outcome.train_accuracy + bump),
-            a_te=inp.outcome.test_accuracy,
-            n=inp.n_configs, delta=inp.delta, full_test=inp.full_test_size,
-        )
-        assert upper_bound(higher) >= upper_bound(inp)
+        higher = grown(inp, a_tr=min(1.0, inp[0].train_accuracy + bump))
+        assert upper_bound(*higher) >= upper_bound(*inp)
 
 
 class TestSnapshotClamp:
@@ -171,16 +151,40 @@ class TestSnapshotClamp:
 
 class TestEstimateCI:
     def test_estimate_nested_in_cache(self):
-        cfg = ConfigurationState(id=1, label="x", current_sample_size=1000)
-        cfg.cached_ci = ConfidenceInterval(0.72, 0.95)
-        ci = estimate_ci(cfg, make_inputs())
-        assert ci.is_subset_of(cfg.cached_ci)
+        outcome, params = make_inputs()
+        cached = ConfidenceInterval(0.72, 0.95)
+        raw, ci, disjoint = update_interval(outcome, cached, params)
+        assert ci.is_subset_of(cached) and not disjoint
         # lower bound 0.766 beats the cache floor; upper 0.907 under the cap
+        assert ci == raw
         assert ci.lower == pytest.approx(L_REFERENCE, abs=1e-15)
         assert ci.upper == pytest.approx(U_REFERENCE, abs=1e-15)
 
     def test_fresh_configuration_gets_raw_interval(self):
-        cfg = ConfigurationState(id=1, label="x", current_sample_size=1000)
-        ci = estimate_ci(cfg, make_inputs())
+        outcome, params = make_inputs()
+        raw, ci, disjoint = update_interval(outcome, ConfidenceInterval(0.0, 1.0), params)
+        assert ci == raw and not disjoint
         assert ci.lower == pytest.approx(L_REFERENCE, abs=1e-15)
         assert ci.upper == pytest.approx(U_REFERENCE, abs=1e-15)
+
+
+def test_update_interval():
+    outcome, params = make_inputs()  # full sets: 10**12 train rows, 100,000 test rows
+    fresh = ConfidenceInterval(0.0, 1.0)
+    # Snapshot clamp: the nested interval keeps the snapshot's tighter ends.
+    _, nested, disjoint = update_interval(outcome, ConfidenceInterval(0.78, 0.80), params)
+    assert nested == ConfidenceInterval(0.78, 0.80) and not disjoint
+    # Disjoint from the snapshot: collapse to its nearest endpoint, flagged.
+    raw, nested, disjoint = update_interval(outcome, ConfidenceInterval(0.95, 0.99), params)
+    assert raw.upper < 0.95 and nested == ConfidenceInterval(0.95, 0.95) and disjoint
+    # [0, 1] clamp of both bounds.
+    raw, _, _ = update_interval(ProbeOutcome(50, 50, 0.99, 0.02, 1.0), fresh, params)
+    assert raw == ConfidenceInterval(0.0, 1.0)
+    # Saturation: full training and test data give the exact point acc_test.
+    full = ProbeOutcome(10**12, 100_000, 0.9, 0.8, 1.0)
+    assert update_interval(full, fresh, params) == (
+        ConfidenceInterval(0.8, 0.8), ConfidenceInterval(0.8, 0.8), False
+    )
+    # A test sample beyond the full test set is rejected.
+    with pytest.raises(ValueError):
+        update_interval(ProbeOutcome(1000, 100_001, 0.9, 0.8, 1.0), fresh, params)

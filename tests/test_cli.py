@@ -153,6 +153,17 @@ class TestAudit:
             ["audit", "--trace", str(trace), "--report", str(report), "--structural-only"]
         ) == EXIT_OK
 
+    def test_oversized_test_sample_exits_2(self, synthetic_setup, capsys):
+        trace, report = self.run_once(synthetic_setup)
+        full_test = json.loads(report.read_text())["params"]["max_test_size"]
+        lines = trace.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["s_te"] = full_test + 1
+        lines[0] = json.dumps(record)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        assert "test sample size" in capsys.readouterr().err
+
 
 def test_report_summary(synthetic_setup, capsys):
     tmp_path, config_path, _ = synthetic_setup
@@ -191,3 +202,44 @@ def test_csv_backend_round_trip(tmp_path):
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["selected"] == 2  # the stump separates this data
     assert report["final_evaluation"]["accuracy"] > 0.9
+
+
+@pytest.mark.parametrize(
+    "instance, key",
+    [
+        ({"csv": "data.csv"}, "learners"),
+        ({"synthetic": "inst.json", "csv": "data.csv"}, "exactly one of 'synthetic' or 'csv'"),
+    ],
+    ids=["csv_without_learners", "synthetic_and_csv"],
+)
+def test_experiment_bad_source_exits_1(tmp_path, capsys, instance, key):
+    make_monte_carlo_instance(0).truncated(3).save(tmp_path / "inst.json")
+    (tmp_path / "data.csv").write_text("0.1,0\n0.9,1\n")
+    spec = {
+        "instances": [{"name": "demo", **instance}],
+        "methods": ["full_run"],
+        "epsilon_grid": [0.01],
+        "n_configs_grid": [1],
+        "repetitions": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "instances[0]" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "conf_budget, flag",
+    [("abc", []), (-1, []), (0, []), (True, []), (None, ["--budget", "-1"])],
+)
+def test_run_invalid_budget_exits_1(synthetic_setup, capsys, conf_budget, flag):
+    tmp_path, _, config = synthetic_setup
+    if conf_budget is not None:
+        config["budget"] = conf_budget
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), *flag]) == EXIT_CONFIG
+    assert "'budget'" in capsys.readouterr().err
+    assert not (tmp_path / "trace.jsonl").exists()

@@ -85,7 +85,7 @@ class TestValidation:
 
 class TestConfigurationState:
     def test_history_must_strictly_increase(self):
-        cfg = ConfigurationState(id=1, label="a", current_sample_size=100)
+        cfg = ConfigurationState(id=1, label="a")
         cfg.append_probe(make_outcome(s_tr=100))
         cfg.append_probe(make_outcome(s_tr=200))
         with pytest.raises(ValueError):

@@ -171,7 +171,7 @@ def engine_state(uppers, lowers, incumbent_id, active=None, probed=True):
                        10**6, 10**6, 0)
     configs = []
     for i, (u, l) in enumerate(zip(uppers, lowers), start=1):
-        cfg = ConfigurationState(id=i, label=f"c{i}", current_sample_size=1000)
+        cfg = ConfigurationState(id=i, label=f"c{i}")
         cfg.ci = ConfidenceInterval(l, u)
         if probed:
             cfg.append_probe(ProbeOutcome(1000, 2000, 0.9, 0.8, 1.0))

@@ -1,5 +1,9 @@
 import csv
+import hashlib
 import json
+import math
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +16,9 @@ from abcselect.harness import (
     cell_seed,
     containment_audit,
     make_monte_carlo_instance,
+    make_plateau_instance,
+    make_skewed_cost_instance,
+    make_sweep_instance,
     make_two_config_instance,
     run_experiment,
     structural_audit,
@@ -208,3 +215,116 @@ class TestStructuralAudit:
         )
         issues = structural_audit(rounds, params)
         assert any("prune" in i.message for i in issues)
+
+
+# Seeded tamperings of engine traces and the SHA-256 of the findings the
+# structural audit reports for them. The digests were recorded before the
+# audit's interval replay moved into the engine's shared kernel; a change
+# to any finding, or to which rows it names, changes them.
+AUDIT_FAMILIES = {
+    "plateau": lambda: make_plateau_instance(2, n_fillers=4),
+    "sweep": lambda: make_sweep_instance(3, n=8),
+    "skewed": lambda: make_skewed_cost_instance(4, n=20),
+}
+AUDIT_SCHEDULERS = {kind.value: kind for kind in SchedulerKind}
+TAMPERINGS = ("ulp", "pruned", "incumbent", "after_prune", "round_index")
+TAMPER_SEEDS = range(4)
+
+
+def nudge_one_ulp(ci, rng):
+    """``ci`` with one endpoint moved by one ulp, still a valid interval."""
+    moves = []
+    if ci.lower < ci.upper:
+        moves += [("lower", 1.0), ("upper", 0.0)]
+    if ci.lower > 0.0:
+        moves.append(("lower", 0.0))
+    if ci.upper < 1.0:
+        moves.append(("upper", 1.0))
+    end, toward = rng.choice(moves)
+    return replace(ci, **{end: math.nextafter(getattr(ci, end), toward)})
+
+
+def tamper(rounds, kind, rng, n):
+    rounds = list(rounds)
+    k = rng.randrange(len(rounds))
+    row = rounds[k]
+    if kind == "ulp":
+        rounds[k] = replace(row, ci=nudge_one_ulp(row.ci, rng))
+    elif kind == "pruned":
+        pruned = list(row.pruned_ids)
+        if pruned and (len(pruned) == n or rng.random() < 0.5):
+            pruned.remove(rng.choice(pruned))
+        else:
+            pruned.append(rng.choice([i for i in range(1, n + 1) if i not in pruned]))
+        rounds[k] = replace(row, pruned_ids=tuple(sorted(pruned)), snapshot=bool(pruned))
+    elif kind == "incumbent":
+        wrong = rng.choice([i for i in range(1, n + 1) if i != row.incumbent_id])
+        rounds[k] = replace(row, incumbent_id=wrong)
+    elif kind == "after_prune":
+        later = [
+            (j, pid)
+            for i, r in enumerate(rounds)
+            for pid in r.pruned_ids
+            for j in range(i + 1, len(rounds))
+        ]
+        j, pid = rng.choice(later)
+        rounds[j] = replace(rounds[j], config_id=pid)
+    else:
+        rounds[k] = replace(row, round_index=row.round_index + rng.choice((-1, 1)))
+    return rounds
+
+
+def audit_run(case):
+    family, scheduler = case.split("/")
+    states, backend, params = fresh_run_inputs(AUDIT_FAMILIES[family](), seed=11)
+    _, trace = run_abc(states, backend, params, AUDIT_SCHEDULERS[scheduler])
+    return trace, params
+
+
+def audit_findings_digest(case):
+    trace, params = audit_run(case)
+    findings = []
+    for kind in TAMPERINGS:
+        for seed in TAMPER_SEEDS:
+            rng = random.Random(f"{case}/{kind}/{seed}")
+            rounds = tamper(trace.rounds, kind, rng, params.n_configs)
+            issues = [str(issue) for issue in structural_audit(rounds, params)]
+            assert issues, f"{kind} tampering {seed} not detected"
+            findings.append([kind, seed, issues])
+    return hashlib.sha256(json.dumps(findings).encode()).hexdigest()
+
+
+GOLDEN_AUDIT = {
+    "plateau/gradient_ci": "3a42990b62a2a535ef6d0a0d5197d5ed845f38c33273f20a2bd6a85e84a8006c",
+    "plateau/ucb": "d670abeed68482b732bd833373d86a1d9b769ce02dc88386640bf356ce3ae042",
+    "plateau/round_robin": "4b6fabd42d725844599d1d07a6a541fc52a671c45a37df21fed6b149c252058b",
+    "sweep/gradient_ci": "14b001c3b4572bcf97b7fd6ad369f99af6e835eaaca6c17b9fb0122a32ae1f62",
+    "sweep/ucb": "07a785a16ff17e2ecb62b061abb37cea8d22b9b07cdf99cbfebc1917bcb0525e",
+    "sweep/round_robin": "de7961686326dfdefae21eb51bbde76f92b469debb0df6f8bbefa33b75894c4b",
+    "skewed/gradient_ci": "5045d84f963a0edb7ba4c75dc3dff4522ca0ef9c30e2616f538367c38658d659",
+    "skewed/ucb": "5429e1030aa2b15e4a1e2d913b6d065a500a5b83759164b1e721bae0d36ca078",
+    "skewed/round_robin": "2bc72aa58cfbff7f9914eb854bdb0429f33a62ced52371527fb0176aa0f3e5be",
+}
+
+
+def test_every_audit_case_is_recorded():
+    cases = [f"{f}/{s}" for f in AUDIT_FAMILIES for s in AUDIT_SCHEDULERS]
+    assert sorted(GOLDEN_AUDIT) == sorted(cases)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AUDIT))
+def test_audit_findings_match_golden(case):
+    assert audit_findings_digest(case) == GOLDEN_AUDIT[case]
+
+
+def test_audit_rejects_test_sample_above_full_test_set():
+    trace, params = audit_run("sweep/ucb")
+    k = next(
+        i for i, r in enumerate(trace.rounds)
+        if r.outcome.train_sample_size < params.max_train_size
+    )
+    rounds = list(trace.rounds)
+    outcome = replace(rounds[k].outcome, test_sample_size=params.max_test_size + 1)
+    rounds[k] = replace(rounds[k], outcome=outcome)
+    with pytest.raises(ValueError):
+        structural_audit(rounds, params)

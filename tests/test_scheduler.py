@@ -17,7 +17,7 @@ from abcselect.scheduler import (
 
 
 def make_config(cid, upper, lower=0.0, probes=2):
-    cfg = ConfigurationState(id=cid, label=f"c{cid}", current_sample_size=1000)
+    cfg = ConfigurationState(id=cid, label=f"c{cid}")
     cfg.ci = ConfidenceInterval(lower, upper)
     for i in range(probes):
         cfg.append_probe(ProbeOutcome(1000 * (i + 1), 2000, 0.9, 0.85, 1.0))
@@ -122,7 +122,7 @@ class TestGradientCIPick:
             c.id: GradientEstimate(1.0, 0.01, -0.01) for c in configs
         }
         ranked = sorted(configs, key=lambda c: (-c.ci.upper, c.id))
-        pick = gradient_ci_pick(configs, grads)
+        pick = gradient_ci_pick(ranked, grads)
         assert pick in (ranked[0].id, ranked[1].id)
 
 
@@ -161,7 +161,7 @@ def test_pick_next_dispatch():
     grads = {i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)}
     assert pick_next(SchedulerKind.UCB, configs, grads) == 2
     assert pick_next(SchedulerKind.ROUND_ROBIN, configs, grads) == 1
-    assert pick_next(SchedulerKind.GRADIENT_CI, configs, grads) in (1, 2)
+    assert pick_next(SchedulerKind.GRADIENT_CI, configs[::-1], grads) in (1, 2)
     assert pick_next(SchedulerKind.UCB, [configs[0]], {}) == 1
 
 
@@ -173,10 +173,12 @@ def test_reported_cost_ratio_versus_brute_force_schedule():
     """
     import numpy as np
 
-    from abcselect.ci_estimator import BoundInputs, lower_bound, upper_bound
+    from abcselect.ci_estimator import lower_bound, upper_bound
     from abcselect.engine import run_abc
     from abcselect.probes import CurveSpec, SyntheticBackend, SyntheticInstance
     from abcselect.core import ProbeOutcome, RunParams, initial_states
+
+    from conftest import bound_params
 
     curves = (
         CurveSpec(a_inf=0.90, b=0.4, beta=0.5, overfit_gap=0.2, gamma=0.5,
@@ -199,11 +201,9 @@ def test_reported_cost_ratio_versus_brute_force_schedule():
 
     def noise_free_bounds(cfg_idx, s, t):
         spec = curves[cfg_idx]
-        inp = BoundInputs(
-            outcome=ProbeOutcome(s, t, spec.train_accuracy(s), spec.true_accuracy(s), 0.0),
-            n_configs=n, delta=0.5, full_test_size=instance.max_test_size,
-        )
-        return lower_bound(inp), min(1.0, upper_bound(inp))
+        outcome = ProbeOutcome(s, t, spec.train_accuracy(s), spec.true_accuracy(s), 0.0)
+        params = bound_params(n, 0.5, instance.max_test_size)
+        return lower_bound(outcome, params), min(1.0, upper_bound(outcome, params))
 
     full_train_cost = curves[0].cost(instance.max_train_size)
     best_probe_oracle = np.inf
