@@ -42,6 +42,11 @@ class ConfigError(Exception):
 
 
 def _check_keys(d: dict, allowed: set[str], where: str) -> None:
+    """Reject a section of a config file, named ``where``, that is not a JSON
+    object or that has a key outside ``allowed``. Every section goes through
+    here before any other code reads it."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     for key in d:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
@@ -65,12 +70,17 @@ def _resolve(path_str: str, base_dir: Path) -> Path:
     return path if path.is_absolute() else base_dir / path
 
 
-def _parse_source(conf: dict, base_dir: Path, where: str) -> InstanceSource:
+def _parse_source(
+    conf: dict, base_dir: Path, where: str, caller_keys: set[str]
+) -> InstanceSource:
     """The one instance source described by ``conf``, named ``where``: a
     synthetic instance file or a CSV dataset with a learner grid. Relative
-    paths resolve against ``base_dir``; every file must exist."""
+    paths resolve against ``base_dir``; every file must exist. ``conf`` may
+    also hold ``caller_keys``, which the caller reads itself."""
     _check_keys(
-        conf, {"synthetic", "csv", "header", "holdout", "learners", "split_seed"}, where
+        conf,
+        {"synthetic", "csv", "header", "holdout", "learners", "split_seed", *caller_keys},
+        where,
     )
     if ("synthetic" in conf) == ("csv" in conf):
         raise ConfigError(f"{where} needs exactly one of 'synthetic' or 'csv'")
@@ -102,19 +112,6 @@ def _parse_source(conf: dict, base_dir: Path, where: str) -> InstanceSource:
 
 
 def _build_params(conf: dict, backend, seed: int) -> RunParams:
-    _check_keys(
-        conf,
-        {
-            "epsilon",
-            "delta",
-            "initial_train_size",
-            "initial_test_size",
-            "step_factor_c",
-            "alpha_cost_exponent",
-            "seed",
-        },
-        "params",
-    )
     alpha = float(conf.get("alpha_cost_exponent", 1.0))
     if "step_factor_c" in conf:
         c = float(conf["step_factor_c"])
@@ -153,10 +150,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         conf, {"backend", "params", "scheduler", "method", "budget", "output"}, "run config"
     )
     params_conf = conf.get("params", {})
+    _check_keys(
+        params_conf,
+        {
+            "epsilon",
+            "delta",
+            "initial_train_size",
+            "initial_test_size",
+            "step_factor_c",
+            "alpha_cost_exponent",
+            "seed",
+        },
+        "params",
+    )
     seed = _resolve_seed(params_conf)
-    backend_conf = dict(conf.get("backend", {}))
-    cost_model = backend_conf.pop("cost_model", None)
-    source = _parse_source(backend_conf, Path(args.config).resolve().parent, "backend")
+    backend_conf = conf.get("backend", {})
+    source = _parse_source(
+        backend_conf, Path(args.config).resolve().parent, "backend", {"cost_model"}
+    )
     if source.synthetic is not None:
         backend = SyntheticBackend(source.synthetic, seed=seed)
     else:
@@ -164,7 +175,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             source.csv_path, header=source.header, holdout=source.holdout,
             seed=source.split_seed,
         )
-        backend = LearnerBackend(handle, source.learners, seed=seed, cost_model=cost_model)
+        backend = LearnerBackend(
+            handle, source.learners, seed=seed, cost_model=backend_conf.get("cost_model")
+        )
     params = _build_params(params_conf, backend, seed)
 
     method = args.method or conf.get("method", "abc")
@@ -284,10 +297,8 @@ def _parse_experiment(conf: dict, base_dir: Path) -> tuple[ExperimentSpec, Path]
     )
     sources = []
     for i, inst in enumerate(conf.get("instances", [])):
-        inst = dict(inst)
-        name = inst.pop("name", f"instance-{i}")
-        source = _parse_source(inst, base_dir, f"instances[{i}]")
-        sources.append(dataclasses.replace(source, name=name))
+        source = _parse_source(inst, base_dir, f"instances[{i}]", {"name"})
+        sources.append(dataclasses.replace(source, name=inst.get("name", f"instance-{i}")))
     try:
         spec = ExperimentSpec(
             sources=tuple(sources),

@@ -47,7 +47,13 @@ LEARNER_KINDS = ("logistic_regression_sgd", "decision_stump", "majority_class")
 @runtime_checkable
 class ProbeBackend(Protocol):
     """Anything that can train configuration ``i`` on ``s_tr`` training
-    samples and evaluate it on ``s_te`` test samples."""
+    samples and evaluate it on ``s_te`` test samples.
+
+    ``probe`` must be a pure function of (configuration, sizes) for a fixed
+    backend: the same call gives the same accuracies, and the same cost
+    wherever cost is not measured wall time. The engine relies on this to
+    reuse an outcome instead of probing again (see ``verify_selection``).
+    """
 
     @property
     def n_configs(self) -> int: ...
@@ -538,26 +544,80 @@ def _train_stump(X: np.ndarray, y: np.ndarray) -> _StumpModel:
     return _StumpModel(feature, threshold, -neg_pol)
 
 
+_SGD_BLOCK_ROWS = 4096
+
+
 def _train_logreg_sgd(
     X: np.ndarray, y: np.ndarray, spec: LearnerSpec, rng: np.random.Generator
 ) -> _LinearModel:
-    """Minibatch SGD on the logistic loss, zero-initialized, seeded shuffles."""
+    """Minibatch SGD on the logistic loss, zero-initialized, seeded shuffles.
+
+    Each epoch draws one permutation of the rows and takes the minibatches
+    in its order. Per minibatch of ``m`` rows ``Xb, yb``::
+
+        z = Xb @ w + b
+        p = 1 / (1 + exp(-clip(z, -35, 35)))
+        r = p - yb
+        w -= lr * (Xb.T @ r / m + l2 * w)
+        b -= lr * (sum(r) / m)
+
+    The weights and the bias are bit-identical to that loop written with
+    fresh arrays (``tests/test_probes.py`` keeps it as the reference): every
+    floating-point operation has the same operands in the same order, only
+    the memory it reads and writes changes. ``l2 * w`` is added even when
+    ``l2`` is 0: ``0 * w`` is NaN for an overflowed weight, so skipping the
+    term would change the result of a diverging run.
+
+    The permuted rows are gathered a block at a time, a multiple of the batch
+    size, into buffers reused for the whole probe, and each minibatch is a
+    contiguous slice of its block. Gathering every minibatch on its own costs
+    two fancy-index calls per batch; gathering a whole permuted copy of ``X``
+    per epoch costs a second copy of the training sample in memory.
+    """
     n, d = X.shape
+    bs = spec.batch_size
+    lr = spec.learning_rate
+    l2 = spec.l2
+    block = max(1, _SGD_BLOCK_ROWS // bs) * bs
+    X_blk = np.empty((min(block, n), d))
+    y_blk = np.empty(min(block, n))
+    y = y.astype(np.float64)  # exact for 0/1 labels
+    z = np.empty(min(bs, n))
+    p = np.empty_like(z)
+    grad = np.empty(d)
+    decay = np.empty(d)
     w = np.zeros(d)
     b = 0.0
-    lr = spec.learning_rate
     for _ in range(spec.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            Xb, yb = X[idx], y[idx]
-            z = Xb @ w + b
-            p = 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
-            resid = p - yb
-            grad_w = Xb.T @ resid / len(idx) + spec.l2 * w
-            grad_b = resid.mean()
-            w -= lr * grad_w
-            b -= lr * grad_b
+        for lo in range(0, n, block):
+            idx = order[lo : lo + block]
+            k = len(idx)
+            # mode="clip": under the default "raise", take buffers ``out``.
+            Xk = np.take(X, idx, axis=0, out=X_blk[:k], mode="clip")
+            yk = np.take(y, idx, out=y_blk[:k], mode="clip")
+            for start in range(0, k, bs):
+                Xb = Xk[start : start + bs]
+                yb = yk[start : start + bs]
+                m = len(yb)
+                zb, pb = z[:m], p[:m]
+                np.matmul(Xb, w, out=zb)
+                np.add(zb, b, out=zb)
+                np.maximum(zb, -35.0, out=zb)
+                np.minimum(zb, 35.0, out=zb)
+                np.negative(zb, out=zb)
+                np.exp(zb, out=pb)
+                np.add(1.0, pb, out=pb)
+                np.divide(1.0, pb, out=pb)
+                np.subtract(pb, yb, out=pb)
+                np.matmul(Xb.T, pb, out=grad)
+                np.divide(grad, m, out=grad)
+                np.multiply(l2, w, out=decay)
+                np.add(grad, decay, out=grad)
+                grad_b = np.add.reduce(pb) / m
+                np.multiply(lr, grad, out=grad)
+                np.subtract(w, grad, out=w)
+                b -= lr * grad_b
     return _LinearModel(w, b)
 
 

@@ -243,3 +243,29 @@ def test_run_invalid_budget_exits_1(synthetic_setup, capsys, conf_budget, flag):
     assert main(["run", str(path), *flag]) == EXIT_CONFIG
     assert "'budget'" in capsys.readouterr().err
     assert not (tmp_path / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize("key", ["backend", "params", "output"])
+def test_run_section_not_an_object_exits_1(synthetic_setup, capsys, key):
+    tmp_path, _, config = synthetic_setup
+    config[key] = 5
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"{key} must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+def test_experiment_instance_not_an_object_exits_1(tmp_path, capsys):
+    spec = {
+        "instances": [5],
+        "methods": ["full_run"],
+        "epsilon_grid": [0.01],
+        "n_configs_grid": [1],
+        "repetitions": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
+    assert "instances[0] must be a JSON object" in capsys.readouterr().err

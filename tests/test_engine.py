@@ -62,6 +62,18 @@ class StubBackend:
         return None
 
 
+class CountingBackend(StubBackend):
+    """StubBackend that records every probe call."""
+
+    def __init__(self, accs, **kwargs):
+        super().__init__(accs, **kwargs)
+        self.calls = []
+
+    def probe(self, config_id, s_tr, s_te):
+        self.calls.append((config_id, s_tr, s_te))
+        return super().probe(config_id, s_tr, s_te)
+
+
 class TestRunAbc:
     def test_single_configuration_returns_without_probing(self):
         inst = make_two_config_instance().truncated(1)
@@ -265,6 +277,33 @@ class TestFinalEvaluation:
         assert final.full_below_sampled
         assert final.deliverable == "sampled_model"
         assert final.accuracy == 0.85
+
+    def test_reuses_last_probe_at_full_sizes(self):
+        backend = CountingBackend([0.9, 0.7], max_train=400, max_test=800)
+        params = RunParams(0.01, 0.5, 2, 100, 200, 2.0, 1.0,
+                           backend.max_train_size, backend.max_test_size, 0)
+        states = initial_states(list(backend.labels), params)
+        states[0].append_probe(backend.probe(1, 100, 200))
+        states[0].append_probe(backend.probe(1, 400, 800))
+        backend.calls.clear()
+        final = verify_selection(backend, states, 1)
+        last = states[0].last_outcome
+        assert backend.calls == []
+        assert (final.accuracy, final.cost, final.sampled_accuracy) == (
+            last.test_accuracy, last.cost, last.test_accuracy
+        )
+        assert not final.full_below_sampled
+
+    def test_probes_once_below_full_sizes(self):
+        backend = CountingBackend([0.9, 0.7], max_train=400, max_test=800)
+        params = RunParams(0.01, 0.5, 2, 100, 200, 2.0, 1.0,
+                           backend.max_train_size, backend.max_test_size, 0)
+        states = initial_states(list(backend.labels), params)
+        states[0].append_probe(backend.probe(1, 200, 400))
+        backend.calls.clear()
+        final = verify_selection(backend, states, 1)
+        assert backend.calls == [(1, 400, 800)]
+        assert final.cost == 400.0
 
     def test_report_contents(self):
         inst = make_two_config_instance()

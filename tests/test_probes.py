@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abcselect import probes
 from abcselect.probes import (
     CurveSpec,
     DatasetHandle,
@@ -222,6 +225,98 @@ class TestLearners:
             LearnerSpec.from_dict({"kind": "decision_stump", "learning_rate": 0.1})
         with pytest.raises(ValueError):
             LearnerSpec.from_dict({"kind": "logistic_regression_sgd", "lr": 0.1})
+
+
+def reference_logreg_sgd(X, y, spec, rng):
+    """The SGD loop with fresh arrays per minibatch, which the block-gathered
+    kernel must reproduce bit for bit."""
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    lr = spec.learning_rate
+    for _ in range(spec.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            idx = order[start : start + spec.batch_size]
+            Xb, yb = X[idx], y[idx]
+            z = Xb @ w + b
+            p = 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+            resid = p - yb
+            grad_w = Xb.T @ resid / len(idx) + spec.l2 * w
+            grad_b = resid.mean()
+            w -= lr * grad_w
+            b -= lr * grad_b
+    return w, b
+
+
+def assert_sgd_matches_reference(X, y, spec, seed):
+    w, b = reference_logreg_sgd(X, y, spec, np.random.default_rng(seed))
+    model = probes._train_logreg_sgd(X, y, spec, np.random.default_rng(seed))
+    assert model.weights.tobytes() == w.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(b).tobytes()
+
+
+class TestSgdKernel:
+    """The kernel against ``reference_logreg_sgd``, compared in-process:
+    BLAS may sum the matrix-vector products differently on another machine,
+    so stored digests would not be portable."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 4),
+        batch_size=st.integers(1, 70),
+        block_rows=st.integers(1, 64),
+        epochs=st.integers(1, 3),
+        learning_rate=st.sampled_from([1e-3, 0.3, 8.0]),
+        l2=st.sampled_from([0.0, 0.01]),
+        share_of_ones=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        zero_column=st.booleans(),
+        scale=st.sampled_from([1.0, 1e308]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_reference(
+        self, n, d, batch_size, block_rows, epochs, learning_rate, l2,
+        share_of_ones, zero_column, scale, seed,
+    ):
+        # A small block covers n and batch sizes that are not multiples of
+        # it, and batches larger than it, at sizes the reference runs fast.
+        # Features near the float maximum make the weights overflow.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(n, d)) * scale
+        if zero_column:
+            X[:, 0] = 0.0
+        y = (rng.random(n) < share_of_ones).astype(np.int64)
+        spec = LearnerSpec(
+            kind="logistic_regression_sgd", learning_rate=learning_rate,
+            epochs=epochs, l2=l2, batch_size=batch_size,
+        )
+        with mock.patch.object(probes, "_SGD_BLOCK_ROWS", block_rows):
+            with np.errstate(all="ignore"):
+                assert_sgd_matches_reference(X, y, spec, seed)
+
+    def test_zero_l2_term_reaches_an_overflowed_weight(self):
+        # The first step overflows the weight to -inf; in the second,
+        # 0 * -inf is NaN, so a kernel that skipped the term at l2 = 0
+        # would keep -inf.
+        spec = LearnerSpec(
+            kind="logistic_regression_sgd", learning_rate=8.0, epochs=2,
+            l2=0.0, batch_size=1,
+        )
+        with np.errstate(all="ignore"):
+            assert_sgd_matches_reference(np.array([[1e308]]), np.array([0]), spec, 0)
+
+    @pytest.mark.parametrize("batch_size", [64, probes._SGD_BLOCK_ROWS + 3])
+    def test_matches_reference_at_the_shipped_block(self, batch_size):
+        rng = np.random.default_rng(batch_size)
+        n = 2 * probes._SGD_BLOCK_ROWS + 77
+        X = rng.uniform(0.0, 1.0, size=(n, 5))
+        y = (X @ np.array([1.0, -0.8, 0.6, 0.4, -0.2]) > 0.5).astype(np.int64)
+        spec = LearnerSpec(
+            kind="logistic_regression_sgd", learning_rate=0.3, epochs=2,
+            l2=0.001, batch_size=batch_size,
+        )
+        assert_sgd_matches_reference(X, y, spec, 5)
 
 
 class TestFullEvaluate:
