@@ -52,6 +52,18 @@ def _check_keys(d: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _list(value, what: str, kinds: tuple[type, ...] = ()) -> list:
+    """``value``, the config entry named ``what``, which must be a JSON list,
+    every item of one of ``kinds`` when given (``bool`` is no number here)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    for x in value if kinds else ():
+        if type(x) not in kinds:
+            names = " or ".join(k.__name__ for k in kinds)
+            raise ConfigError(f"{what} must list {names} values, got {x!r}")
+    return value
+
+
 def _load_json(path: str | Path, what: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -171,13 +183,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     if source.synthetic is not None:
         backend = SyntheticBackend(source.synthetic, seed=seed)
     else:
+        cost_model = backend_conf.get("cost_model")
+        if cost_model is not None:
+            what = "key 'cost_model' in backend"
+            pairs = [_list(p, what, (int, float)) for p in _list(cost_model, what, (list,))]
+            if len(pairs) != len(source.learners) or any(len(p) != 2 for p in pairs):
+                raise ConfigError(f"{what} must list one [kappa, alpha] pair per learner")
         handle = load_csv_dataset(
             source.csv_path, header=source.header, holdout=source.holdout,
             seed=source.split_seed,
         )
-        backend = LearnerBackend(
-            handle, source.learners, seed=seed, cost_model=backend_conf.get("cost_model")
-        )
+        backend = LearnerBackend(handle, source.learners, seed=seed, cost_model=cost_model)
     params = _build_params(params_conf, backend, seed)
 
     method = args.method or conf.get("method", "abc")
@@ -295,19 +311,23 @@ def _parse_experiment(conf: dict, base_dir: Path) -> tuple[ExperimentSpec, Path]
         },
         "experiment spec",
     )
+
+    def spec_list(key: str, kinds: tuple[type, ...] = ()) -> tuple:
+        return tuple(_list(conf.get(key, []), f"key {key!r} in experiment spec", kinds))
+
     sources = []
-    for i, inst in enumerate(conf.get("instances", [])):
+    for i, inst in enumerate(spec_list("instances")):
         source = _parse_source(inst, base_dir, f"instances[{i}]", {"name"})
         sources.append(dataclasses.replace(source, name=inst.get("name", f"instance-{i}")))
     try:
         spec = ExperimentSpec(
             sources=tuple(sources),
-            methods=tuple(conf.get("methods", [])),
-            epsilon_grid=tuple(conf.get("epsilon_grid", [])),
-            n_configs_grid=tuple(conf.get("n_configs_grid", [])),
+            methods=spec_list("methods"),
+            epsilon_grid=spec_list("epsilon_grid", (int, float)),
+            n_configs_grid=spec_list("n_configs_grid", (int,)),
             repetitions=int(conf.get("repetitions", 100)),
             base_seed=int(conf.get("base_seed", 0)),
-            budget_grid=tuple(conf.get("budget_grid", [])),
+            budget_grid=spec_list("budget_grid", (int, float)),
             delta=float(conf.get("delta", 0.5)),
             initial_train_size=int(conf.get("initial_train_size", 1000)),
             initial_test_size=int(conf.get("initial_test_size", 2000)),

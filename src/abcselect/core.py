@@ -264,7 +264,7 @@ class RunTrace:
     """Append-only record of every round, for audit, metrics and anytime output.
 
     ``flags`` collects anomaly/diagnostic messages (snapshot-interval
-    disjointness, survivor/incumbent divergence, budget stops). ``params``
+    disjointness, budget stops). ``params``
     and ``true_accuracies`` are attached by the engine when available; they
     travel in the report JSON, not in the JSONL round stream.
     """

@@ -1,40 +1,39 @@
 """The selection loop: probe, bound, prune, snapshot, schedule.
 
-Each round probes one configuration, re-estimates its confidence interval,
-updates the incumbent (the configuration with the highest lower bound seen
-so far), prunes every active configuration whose upper bound is within
-epsilon of the incumbent lower bound, and snapshot-caches the surviving
-intervals whenever pruning happened. The loop runs while more than one
-configuration remains; the incumbent is returned.
+Each round probes one configuration, re-estimates its confidence interval
+with :func:`update_interval`, updates the incumbent (the configuration with
+the highest lower bound seen so far), prunes every other active
+configuration whose upper bound is within epsilon of the incumbent lower
+bound, and snapshot-caches the surviving intervals whenever pruning
+happened. The incumbent is never pruned, so the loop, which runs while more
+than one configuration is active, stops exactly when ``incumbent_lower +
+epsilon >= upper`` holds for every other configuration (the LUCB stopping
+rule; Hoeffding-race elimination), and returns the incumbent.
 
-One rule turns a probe into an interval, :func:`update_interval` (the
-saturation point, the two bounds, the [0, 1] clamp and the snapshot clamp),
-and one index, :class:`ActiveSet`, holds the ``(-upper, id)`` rank order and
-the prune rule. The loop and the structural audit's replay both use them.
+Termination: a configuration probed on the full data is saturated, with the
+exact point ``acc_test`` as its interval. If it is not the incumbent, that
+point is at or below the incumbent lower bound, so the rule prunes it in
+the same round. Only the incumbent can be active and saturated, and no
+scheduler picks it then. (The warm-up never meets it: a first probe
+saturates only when every first probe does, and then the first sweep
+prunes all but the incumbent.) So every round grows an unsaturated
+configuration's sample, each configuration is probed at most ``growth steps
++ 1`` times (the :func:`~abcselect.scheduler.next_sample_size` steps from
+the initial to the full train size), and a run ends within ``n * (growth
+steps + 1)`` rounds.
 
-Only the probed configuration's interval changes in a round, so the loop
-keeps the active set in an :class:`ActiveSet` index that moves one entry per
-round instead of rescanning every configuration. The engine's own work per
-round is O(log n) comparisons plus list insertions and deletions (a memory
-move of at most n pointers); scanning configurations is left to the
-scheduler's own ``pick_next``. The warm-up sweeps run as two queues built
-once each. Pruning walks in from the low-upper end of the ranked order:
-``upper - incumbent_lower`` is monotone in ``upper`` under float
-subtraction, so exactly the configurations the rule selects are visited,
-plus one. Snapshots are lazy: a snapshot only bumps a counter, and a
-configuration's ``cached_ci`` is set from its ``ci`` when the configuration
-is next probed, when it is pruned, and when the run returns. Its ``ci``
-cannot change in between, so every configuration ends the run with the same
-``ci``, ``cached_ci`` and ``active`` values as an eager snapshot would give.
-
-Gradient-CI receives the active configurations already ranked by
-``(-upper, id)``, with each configuration's gradient estimate computed once
-when it is probed. Its sum G over the non-leaders is recomputed left to
-right in ranked order on every pick, not kept as a running total: float
-addition is not associative, so a total patched by one term per round (or
-``sum()``, which uses compensated summation from Python 3.12) would drift
-from it and flip decisions near ties. It trusts the ranking and does not
-re-sort; a missing estimate is caught in that same left-to-right loop.
+One index, :class:`ActiveSet`, holds the ``(-upper, id)`` rank order and the
+prune rule; the loop and the structural audit's replay both use it and
+:func:`update_interval`. Only the probed configuration's interval changes in
+a round, so the engine's own work per round is O(log n) comparisons plus
+list moves of at most n pointers; scanning is left to the scheduler's
+``pick_next``. The warm-up sweeps are two queues built once each. Pruning
+walks in from the low-upper end of the ranked order (``upper -
+incumbent_lower`` is monotone in ``upper`` under float subtraction), and
+snapshots are lazy (see :class:`ActiveSet`). Gradient-CI gets the ranked
+order and each configuration's gradient estimate, computed once when it is
+probed; it sums G left to right on every pick (see
+:func:`~abcselect.scheduler.gradient_ci_pick`).
 
 Also provides the anytime best-guess output and budget-limited runs.
 """
@@ -42,7 +41,6 @@ Also provides the anytime best-guess output and budget-limited runs.
 from __future__ import annotations
 
 import logging
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -79,22 +77,19 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class EngineState:
-    """Snapshot of the loop: configurations, incumbent, active set, trace."""
+    """Snapshot of the loop: configurations, active set, incumbent, trace."""
 
     configs: list[ConfigurationState]
     params: RunParams
+    active: ActiveSet
     incumbent_id: int
     incumbent_lower: float = 0.0
-    active_set: set[int] = field(default_factory=set)
     round_index: int = 0
     trace: RunTrace = field(default_factory=RunTrace)
     budget_stopped: bool = False
 
     def by_id(self, config_id: int) -> ConfigurationState:
         return self.configs[config_id - 1]
-
-    def active_configs(self) -> list[ConfigurationState]:
-        return [self.by_id(i) for i in sorted(self.active_set)]
 
 
 class ActiveSet:
@@ -140,14 +135,17 @@ class ActiveSet:
         cfg.ci = ci
         self.ranked.insert(bisect_left(self.ranked, _rank(cfg), key=_rank), cfg)
 
-    def due(self, incumbent_lower: float, epsilon: float) -> tuple[int, ...]:
+    def due(
+        self, incumbent_id: int, incumbent_lower: float, epsilon: float
+    ) -> tuple[int, ...]:
         """Ascending ids of the active configurations the prune rule selects:
-        ``upper - incumbent_lower <= epsilon``."""
+        every one but the incumbent with ``upper - incumbent_lower <= epsilon``."""
         due = []
         for cfg in reversed(self.ranked):
             if cfg.ci.upper - incumbent_lower > epsilon:
                 break
-            due.append(cfg.id)
+            if cfg.id != incumbent_id:
+                due.append(cfg.id)
         return tuple(sorted(due))
 
     def prune(self, ids: Sequence[int]) -> None:
@@ -232,25 +230,19 @@ def _validate_setup(
             raise ValueError("configuration ids must be 1..n in input order")
 
 
-def _round_guard_limit(params: RunParams) -> int:
-    growth_steps = math.ceil(
-        math.log(params.max_train_size / params.initial_train_size)
-        / math.log(params.step_factor_c)
-    ) if params.max_train_size > params.initial_train_size else 0
-    return params.n_configs * (2 + growth_steps) + params.n_configs
+def _saturated(cfg: ConfigurationState, params: RunParams) -> bool:
+    """Whether ``cfg``'s last probe ran on the full data (its interval is exact)."""
+    last = cfg.last_outcome
+    return last is not None and last.train_sample_size >= params.max_train_size
 
 
-def _next_probe_sizes(
-    cfg: ConfigurationState, params: RunParams, force_full: bool
-) -> tuple[int, int]:
+def _next_probe_sizes(cfg: ConfigurationState, params: RunParams) -> tuple[int, int]:
     """Sizes for this configuration's next probe.
 
     Train size grows geometrically by c; test size grows by the same factor
     from its initial value, except that a probe at full training data is
     evaluated on the full test data (the accuracy is then exact).
     """
-    if force_full:
-        return params.max_train_size, params.max_test_size
     last = cfg.last_outcome
     if last is None:
         s_tr = params.initial_train_size
@@ -299,24 +291,22 @@ def _run(
     _validate_setup(configs, backend, params)
     active = ActiveSet(configs)
     state = EngineState(
-        configs=list(configs),
-        params=params,
-        incumbent_id=configs[0].id,
-        active_set=active.active,
+        configs=list(configs), params=params, active=active, incumbent_id=configs[0].id
     )
     state.trace.params = params
-    guard_limit = _round_guard_limit(params)
-    force_full = False
     warmup = _warmup(state.configs)
     grads: dict[int, GradientEstimate] = {}
 
     while len(active) > 1:
-        cfg = state.by_id(active.ids[0]) if force_full else next(warmup, None)
+        cfg = next(warmup, None)
         if cfg is None:
             # Every scheduler breaks ties by id, so the order of its input
             # does not change its pick; gradient-CI needs it ranked.
-            cfg = state.by_id(pick_next(scheduler, active.ranked, grads))
-        s_tr, s_te = _next_probe_sizes(cfg, params, force_full)
+            saturated = _saturated(state.by_id(state.incumbent_id), params)
+            cfg = state.by_id(
+                pick_next(scheduler, active.ranked, grads, state.incumbent_id, saturated)
+            )
+        s_tr, s_te = _next_probe_sizes(cfg, params)
 
         if budget is not None:
             est = backend.estimate_cost(cfg.id, s_tr, s_te)
@@ -360,7 +350,7 @@ def _run(
             state.incumbent_id = cfg.id
             state.incumbent_lower = ci.lower
 
-        pruned = active.due(state.incumbent_lower, params.epsilon)
+        pruned = active.due(state.incumbent_id, state.incumbent_lower, params.epsilon)
         active.prune(pruned)
         for pid in pruned:
             grads.pop(pid, None)
@@ -386,25 +376,7 @@ def _run(
             )
             break
 
-        if not force_full and state.round_index >= guard_limit and len(active) > 1:
-            force_full = True
-            msg = (
-                f"round guard hit after {state.round_index} rounds with "
-                f"{len(active)} survivors; forcing exact full-data "
-                "evaluation of the remainder"
-            )
-            state.trace.flags.append(msg)
-            logger.warning(msg)
-
     active.flush()
-    survivors = list(active.ids)
-    if survivors and survivors != [state.incumbent_id]:
-        msg = (
-            f"termination with survivors {survivors} while the incumbent is "
-            f"{state.incumbent_id}; returning the incumbent"
-        )
-        state.trace.flags.append(msg)
-        logger.warning(msg)
     state.trace.final_selection = state.incumbent_id
     truths = {
         c.id: acc
@@ -438,23 +410,13 @@ def anytime_best_guess(state: EngineState) -> int:
     if not any(c.history for c in state.configs):
         return state.incumbent_id
     incumbent = state.by_id(state.incumbent_id)
-    candidates = [incumbent]
-    active = state.active_configs()
-    if active:
-        top = min(active, key=lambda c: (-c.ci.upper, c.id))
-        if top.id != incumbent.id:
-            candidates.append(top)
-    if len(candidates) == 1:
+    ranked = state.active.ranked
+    if not ranked or ranked[0] is incumbent:
         return incumbent.id
-    pool = {c.id for c in active} | {c.id for c in candidates}
-    gaps = []
-    for cand in candidates:
-        others = pool - {cand.id}
-        if not others:
-            return cand.id
-        max_upper = max(state.by_id(i).ci.upper for i in others)
-        gaps.append(max_upper - cand.ci.lower)
-    return candidates[0].id if gaps[0] <= gaps[1] else candidates[1].id
+    top = ranked[0]
+    incumbent_gap = top.ci.upper - incumbent.ci.lower
+    top_gap = max(c.ci.upper for c in [incumbent, *ranked[1:2]]) - top.ci.lower
+    return incumbent.id if incumbent_gap <= top_gap else top.id
 
 
 def select_with_budget(

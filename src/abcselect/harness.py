@@ -514,8 +514,8 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
 
     Checks: round numbering, interval replay (bit-exact), nesting inside the
     cached snapshot interval, incumbent identity and lower-bound
-    monotonicity, the prune condition, prune uniqueness, snapshot flag
-    accounting, and snapshot count < n.
+    monotonicity, the prune condition, that the incumbent is never pruned,
+    prune uniqueness, snapshot flag accounting, and snapshot count < n.
 
     The replay recomputes each interval with the engine's own
     :func:`~abcselect.engine.update_interval` and keeps fresh configuration
@@ -575,7 +575,7 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                 )
             )
 
-        expected_pruned = active.due(incumbent_lower, params.epsilon)
+        expected_pruned = active.due(incumbent_id, incumbent_lower, params.epsilon)
         if tuple(sorted(row.pruned_ids)) != expected_pruned:
             issues.append(
                 AuditIssue(
@@ -587,6 +587,8 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
         for pid in row.pruned_ids:
             if pid not in active.active:
                 issues.append(AuditIssue(r, f"config {pid} pruned twice"))
+            elif pid == incumbent_id:
+                issues.append(AuditIssue(r, f"incumbent {pid} pruned"))
             elif states[pid - 1].ci.upper - incumbent_lower > params.epsilon + 1e-12:
                 issues.append(
                     AuditIssue(

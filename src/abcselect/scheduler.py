@@ -2,11 +2,15 @@
 
 Three schedulers decide which active configuration to probe next:
 
-* gradient-CI: compare the cost of raising the leader's lower bound
+* gradient-CI: compare the cost of raising the incumbent's lower bound
   against the summed cost of lowering everyone else's upper bound;
 * UCB: always probe the configuration with the highest upper bound;
 * round-robin: probe the configuration with the fewest probes so far.
 
+None of them picks a saturated incumbent (one already probed on the full
+data, whose interval is the exact point). Gradient-CI skips it; every other
+active configuration has fewer probes and an upper bound above that point
+by more than epsilon, so UCB and round-robin never rank it first.
 Gradient-CI takes its input already ranked by ``(-upper, id)``; UCB and
 round-robin break ties by id, so the order of their input does not matter.
 
@@ -99,25 +103,32 @@ def round_robin_pick(active: Sequence[ConfigurationState]) -> int:
 def gradient_ci_pick(
     ranked: Sequence[ConfigurationState],
     grads: Mapping[int, GradientEstimate],
+    incumbent_id: int,
+    incumbent_saturated: bool = False,
 ) -> int:
-    """Pick between the top-two configurations by upper bound.
+    """Pick between the incumbent (the leader) and the runner-up, the top
+    other configuration by upper bound: LUCB's pair.
 
-    ``ranked`` holds the active configurations by upper bound descending,
-    ties lowest id first, as :class:`~abcselect.engine.ActiveSet` keeps
-    them; the order is not checked. Let g1 be the leader's cost per unit of
-    lower-bound increase (treated as +inf when its lower bound did not move
-    up), and G the sum over every other active configuration of
-    |delta_cost / delta_upper| (a term is 0 when that upper bound did not
-    move down). The leader is probed when g1 <= G, otherwise the runner-up is.
+    ``ranked`` holds the active configurations, the incumbent among them, by
+    upper bound descending, ties lowest id first, as
+    :class:`~abcselect.engine.ActiveSet` keeps them; the order is not
+    checked. Let g1 be the incumbent's cost per unit of lower-bound increase
+    (treated as +inf when its lower bound did not move up), and G the sum
+    over every other active configuration of |delta_cost / delta_upper| (a
+    term is 0 when that upper bound did not move down). The incumbent is
+    probed when g1 <= G and it is not saturated, otherwise the runner-up is.
     """
     if len(ranked) < 2:
         raise ValueError("gradient scheduling needs at least two active configurations")
-    leader, runner_up = ranked[0], ranked[1]
+    runner_up = ranked[1] if ranked[0].id == incumbent_id else ranked[0]
+    if incumbent_saturated:
+        return runner_up.id
 
     # Left to right in ranked order, on every pick: float addition is not
     # associative, so a running total or sum() (compensated from Python
     # 3.12) could flip g1 <= G near ties.
     total = 0.0
+    g_lead = None
     for cfg in ranked:
         g = grads.get(cfg.id)
         if g is None:
@@ -125,29 +136,31 @@ def gradient_ci_pick(
                 f"config {cfg.id} lacks the two probes required before "
                 "gradient scheduling"
             )
-        if cfg is leader:
+        if cfg.id == incumbent_id:
             g_lead = g
         elif g.delta_upper < 0.0:
             total += abs(g.delta_cost / g.delta_upper)
+    if g_lead is None:
+        raise ValueError(f"incumbent {incumbent_id} is not active")
 
     if g_lead.delta_lower <= 0.0:
         g1 = math.inf
     else:
         g1 = g_lead.delta_cost / g_lead.delta_lower
-    return leader.id if g1 <= total else runner_up.id
+    return incumbent_id if g1 <= total else runner_up.id
 
 
 def pick_next(
     kind: SchedulerKind,
     active: Sequence[ConfigurationState],
     grads: Mapping[int, GradientEstimate],
+    incumbent_id: int,
+    incumbent_saturated: bool = False,
 ) -> int:
-    """Dispatch to the scheduler variant; singleton sets short-circuit.
-    Gradient-CI needs ``active`` ranked by ``(-upper, id)``."""
-    if len(active) == 1:
-        return active[0].id
+    """Dispatch to the scheduler variant; only gradient-CI reads the
+    incumbent. Gradient-CI needs ``active`` ranked by ``(-upper, id)``."""
     if kind is SchedulerKind.GRADIENT_CI:
-        return gradient_ci_pick(active, grads)
+        return gradient_ci_pick(active, grads, incumbent_id, incumbent_saturated)
     if kind is SchedulerKind.UCB:
         return ucb_pick(active)
     if kind is SchedulerKind.ROUND_ROBIN:

@@ -140,26 +140,31 @@ def test_criterion_3_per_configuration_speedup_cells():
 
 def test_criterion_4_interval_pruning_beats_point_ranking_on_plateaus():
     t0 = time.time()
-    abc_losses, sh_losses = [], []
+    abc_losses = {kind: [] for kind in SchedulerKind}
+    sh_losses = []
     for seed in range(50):
         instance = make_plateau_instance(seed)
         truths = [c.true_accuracy(instance.max_train_size) for c in instance.curves]
         best = max(truths)
         backend = SyntheticBackend(instance, seed=777 + seed)
-        selected, _, _, _ = run_on(instance, seed=777 + seed, scheduler=SchedulerKind.UCB)
-        abc_losses.append(relative_accuracy_loss(best, truths[selected - 1]))
+        for kind in SchedulerKind:
+            selected, _, _, _ = run_on(instance, seed=777 + seed, scheduler=kind)
+            abc_losses[kind].append(relative_accuracy_loss(best, truths[selected - 1]))
         sh_sel, _ = successive_halving(
             list(range(1, instance.n_configs + 1)), backend, HalvingParams(1000, 2000)
         )
         sh_losses.append(relative_accuracy_loss(best, truths[sh_sel - 1]))
     elapsed = time.time() - t0
-    mean_abc, mean_sh = float(np.mean(abc_losses)), float(np.mean(sh_losses))
-    assert max(abc_losses) <= 0.01
-    assert mean_sh >= 5 * mean_abc
+    mean_sh = float(np.mean(sh_losses))
+    for losses in abc_losses.values():
+        assert max(losses) <= 0.01
+        assert mean_sh >= 5 * float(np.mean(losses))
     assert elapsed < 180
+    worst = max(max(losses) for losses in abc_losses.values())
+    means = ", ".join(f"{k.value} {np.mean(v):.4f}" for k, v in abc_losses.items())
     report(
         f"criterion 4: halving mean rel. loss {mean_sh:.4f} >= 5x interval-pruning "
-        f"{mean_abc:.4f}; interval max {max(abc_losses):.4f} <= 1% in {elapsed:.1f}s"
+        f"({means}); interval max {worst:.4f} <= 1% in {elapsed:.1f}s"
     )
 
 
@@ -302,6 +307,37 @@ def test_criterion_9_anytime_curve_dominates_halving():
         f"{len(matched)} matched budgets (strictly better at "
         f"{sum(1 for _, a, s in matched if a > s)}) in {elapsed:.1f}s"
     )
+
+
+CERTIFIED_FAMILIES = {
+    "plateau": (make_plateau_instance, 50),
+    "sweep": (make_sweep_instance, 40),
+    "monte_carlo": (make_monte_carlo_instance, 40),
+    "skewed": (make_skewed_cost_instance, 40),
+    "decoy": (make_expensive_decoy_instance, 40),
+}
+
+
+@pytest.mark.parametrize("kind", list(SchedulerKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("family", sorted(CERTIFIED_FAMILIES))
+def test_every_family_and_scheduler_ends_certified(family, kind):
+    """Every shipped family under every scheduler, at the default tolerance:
+    no round prunes its own incumbent, no selection misses epsilon, the run
+    ends with only the incumbent active, within n * (growth steps + 1)
+    rounds."""
+    make, runs = CERTIFIED_FAMILIES[family]
+    for seed in range(runs):
+        states, backend, params = fresh_run_inputs(make(seed), seed=1000 + seed)
+        selected, trace = run_abc(states, backend, params, kind)
+        assert all(r.incumbent_id not in r.pruned_ids for r in trace.rounds), seed
+        truths = trace.true_accuracies
+        assert max(truths.values()) - truths[selected] <= params.epsilon, seed
+        assert [c.id for c in states if c.active] == [selected], seed
+        steps, size = 0, params.initial_train_size
+        while size < params.max_train_size:
+            size = next_sample_size(size, params.step_factor_c, params.max_train_size)
+            steps += 1
+        assert trace.n_rounds <= params.n_configs * (steps + 1), seed
 
 
 def test_criterion_10_determinism_and_structural_invariants():

@@ -12,11 +12,9 @@ on its own, with the arbitrary updates and prunes an audit replay can feed
 it.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import abcselect.engine as engine
 from abcselect.ci_estimator import clamp_to_cached, lower_bound, upper_bound
 from abcselect.core import (
     ConfidenceInterval,
@@ -27,28 +25,28 @@ from abcselect.core import (
     clamp_interval,
     initial_states,
 )
-from abcselect.engine import ActiveSet, _next_probe_sizes, _round_guard_limit, run_abc
+from abcselect.engine import ActiveSet, _next_probe_sizes, run_abc
 from abcselect.scheduler import GradientEstimate, SchedulerKind, pick_next
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def reference_run(configs, backend, params, scheduler, guard_limit):
+def reference_run(configs, backend, params, scheduler):
     """Unbudgeted selection loop with O(n) warm-up, prune and snapshot."""
     active_set = {c.id for c in configs if c.active}
     prev_ci = {}
     trace = RunTrace(params=params)
     incumbent_id, incumbent_lower = configs[0].id, 0.0
     round_index = 0
-    force_full = False
 
     def active_configs():
         return [configs[i - 1] for i in sorted(active_set)]
 
+    def saturated(cfg):
+        return bool(cfg.history) and cfg.history[-1].train_sample_size >= params.max_train_size
+
     def choose():
         active = active_configs()
-        if force_full:
-            return active[0]
         for want in (0, 1):
             for cfg in active:
                 if len(cfg.history) == want:
@@ -62,11 +60,13 @@ def reference_run(configs, backend, params, scheduler, guard_limit):
                 delta_upper=cfg.ci.upper - prev_ci[cfg.id].upper,
             )
         ranked = sorted(active, key=lambda c: (-c.ci.upper, c.id))
-        return configs[pick_next(scheduler, ranked, grads) - 1]
+        incumbent = configs[incumbent_id - 1]
+        pick = pick_next(scheduler, ranked, grads, incumbent_id, saturated(incumbent))
+        return configs[pick - 1]
 
     while len(active_set) > 1:
         cfg = choose()
-        s_tr, s_te = _next_probe_sizes(cfg, params, force_full)
+        s_tr, s_te = _next_probe_sizes(cfg, params)
         outcome = backend.probe(cfg.id, s_tr, s_te)
         round_index += 1
         if s_tr >= params.max_train_size and s_te >= params.max_test_size:
@@ -80,7 +80,9 @@ def reference_run(configs, backend, params, scheduler, guard_limit):
         if ci.lower > incumbent_lower:
             incumbent_id, incumbent_lower = cfg.id, ci.lower
         pruned = tuple(
-            c.id for c in active_configs() if c.ci.upper - incumbent_lower <= params.epsilon
+            c.id
+            for c in active_configs()
+            if c.id != incumbent_id and c.ci.upper - incumbent_lower <= params.epsilon
         )
         for pid in pruned:
             configs[pid - 1].active = False
@@ -91,8 +93,6 @@ def reference_run(configs, backend, params, scheduler, guard_limit):
         trace.append(
             TraceRound(round_index, cfg.id, outcome, ci, incumbent_id, pruned, bool(pruned))
         )
-        if not force_full and round_index >= guard_limit and len(active_set) > 1:
-            force_full = True
     return incumbent_id, trace
 
 
@@ -143,24 +143,20 @@ def final_states(states):
     epsilon=st.sampled_from((0.0, 0.01, 0.05)),
     delta=st.sampled_from((0.1, 0.5, 0.9)),
     scheduler=st.sampled_from(list(SchedulerKind)),
-    guard=st.one_of(st.none(), st.integers(1, 30)),
 )
 def test_engine_matches_reference_loop(
-    data, n, train_doublings, test_doublings, epsilon, delta, scheduler, guard
+    data, n, train_doublings, test_doublings, epsilon, delta, scheduler
 ):
     max_train = 1000 * 2**train_doublings
     max_test = 1000 * 2**(train_doublings + test_doublings)
     params = RunParams(epsilon, delta, n, 1000, 1000, 2.0, 1.0, max_train, max_test, 0)
     backend = GridBackend(data.draw, n, max_train, max_test)
-    guard_limit = _round_guard_limit(params) if guard is None else guard
 
     ref_states = initial_states(list(backend.labels), params)
-    ref_selected, ref_trace = reference_run(ref_states, backend, params, scheduler, guard_limit)
+    ref_selected, ref_trace = reference_run(ref_states, backend, params, scheduler)
 
     states = initial_states(list(backend.labels), params)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_round_guard_limit", lambda p: guard_limit)
-        selected, trace = run_abc(states, backend, params, scheduler)
+    selected, trace = run_abc(states, backend, params, scheduler)
 
     assert trace.to_jsonl() == ref_trace.to_jsonl()
     assert selected == ref_selected
@@ -179,9 +175,13 @@ class ReferenceIndex:
     def update(self, cid, ci):
         self.ci[cid] = ci
 
-    def due(self, incumbent_lower, epsilon):
+    def due(self, incumbent_id, incumbent_lower, epsilon):
         return tuple(
-            sorted(i for i in self.active if self.ci[i].upper - incumbent_lower <= epsilon)
+            sorted(
+                i
+                for i in self.active
+                if i != incumbent_id and self.ci[i].upper - incumbent_lower <= epsilon
+            )
         )
 
     def prune(self, ids):
@@ -207,7 +207,9 @@ def operation(n):
     ids = st.integers(0, n + 1)
     return st.one_of(
         st.tuples(st.just("update"), st.integers(1, n), interval()),
-        st.tuples(st.just("prune_due"), endpoint(), st.sampled_from((0.0, 0.01, 0.25))),
+        st.tuples(
+            st.just("prune_due"), ids, endpoint(), st.sampled_from((0.0, 0.01, 0.25))
+        ),
         st.tuples(st.just("prune_ids"), st.lists(ids, max_size=3)),
     )
 
@@ -227,9 +229,9 @@ def test_index_matches_reference_index(data, n):
             index.update(cfg, ci)
             ref.update(cid, ci)
         elif op[0] == "prune_due":
-            _, lower, epsilon = op
-            due = index.due(lower, epsilon)
-            assert due == ref.due(lower, epsilon)
+            _, incumbent, lower, epsilon = op
+            due = index.due(incumbent, lower, epsilon)
+            assert due == ref.due(incumbent, lower, epsilon)
             index.prune(due)
             ref.prune(due)
         else:

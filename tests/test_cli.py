@@ -269,3 +269,66 @@ def test_experiment_instance_not_an_object_exits_1(tmp_path, capsys):
     spec_path.write_text(json.dumps(spec))
     assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
     assert "instances[0] must be a JSON object" in capsys.readouterr().err
+
+
+def experiment_spec(tmp_path, **changes):
+    make_monte_carlo_instance(0).truncated(3).save(tmp_path / "inst.json")
+    spec = {
+        "instances": [{"name": "demo", "synthetic": "inst.json"}],
+        "methods": ["full_run"],
+        "epsilon_grid": [0.01],
+        "n_configs_grid": [1],
+        "repetitions": 1,
+        "output_dir": str(tmp_path / "out"),
+        **changes,
+    }
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps(spec))
+    return spec_path
+
+
+@pytest.mark.parametrize(
+    "key", ["instances", "methods", "epsilon_grid", "n_configs_grid", "budget_grid"]
+)
+def test_experiment_key_not_a_list_exits_1(tmp_path, capsys, key):
+    spec_path = experiment_spec(tmp_path, **{key: 5})
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
+    assert f"key '{key}' in experiment spec must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, grid",
+    [("epsilon_grid", ["a"]), ("n_configs_grid", ["1"]), ("n_configs_grid", [1.0]),
+     ("budget_grid", ["a"]), ("budget_grid", [True])],
+)
+def test_experiment_non_numeric_grid_entry_exits_1(tmp_path, capsys, key, grid):
+    spec_path = experiment_spec(tmp_path, **{key: grid})
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
+    assert f"key '{key}' in experiment spec must list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "cost_model",
+    [5, [5, 5], [[1.0, 1.0]], [[1.0, 1.0], [1.0]], [[1.0, 1.0], [1.0, "a"]]],
+    ids=["number", "flat_list", "too_few_pairs", "short_pair", "non_numeric"],
+)
+def test_run_bad_cost_model_exits_1(tmp_path, capsys, cost_model):
+    (tmp_path / "data.csv").write_text("0.1,0\n0.9,1\n0.2,0\n0.8,1\n")
+    config = {
+        "backend": {
+            "csv": "data.csv",
+            "learners": [{"kind": "majority_class"}, {"kind": "decision_stump"}],
+            "cost_model": cost_model,
+        },
+        "output": {
+            "trace": str(tmp_path / "t.jsonl"),
+            "report": str(tmp_path / "r.json"),
+        },
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert "key 'cost_model' in backend" in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()

@@ -12,6 +12,7 @@ from abcselect.core import (
     initial_states,
 )
 from abcselect.engine import (
+    ActiveSet,
     EngineState,
     anytime_best_guess,
     build_report,
@@ -104,7 +105,8 @@ class TestRunAbc:
         selected, trace = run_abc(states, backend, params)
         assert trace.n_rounds == 1
         assert selected == 1
-        assert trace.pruned_total == 2  # everyone is within a vacuous tolerance
+        # everyone but the incumbent is within a vacuous tolerance
+        assert trace.rounds[0].pruned_ids == (2,)
 
     def test_trace_passes_structural_audit(self):
         inst = make_plateau_instance(3)
@@ -143,39 +145,25 @@ class TestRunAbc:
 
     def test_saturation_collapses_to_exact_point_and_terminates(self):
         # Identical wide-interval configurations never separate early; growth
-        # reaches full data, the interval collapses to the measured point,
-        # and the saturated configuration is pruned.
-        backend = StubBackend(
-            [0.5, 0.5], max_train=4000, max_test=4000, full_accs=[0.52, 0.5]
-        )
-        params = RunParams(0.001, 0.5, 2, 1000, 1000, 2.0, 1.0, 4000, 4000, 0)
-        states = initial_states(list(backend.labels), params)
-        selected, trace = run_abc(states, backend, params)
-        saturated = [r for r in trace.rounds if r.outcome.train_sample_size == 4000]
-        assert saturated and all(r.ci.width == 0.0 for r in saturated)
-        # the saturated configuration's point interval prunes it immediately,
-        # leaving the other one as sole survivor; the incumbent is returned
-        # and the divergence is flagged
-        assert saturated[0].pruned_ids == (saturated[0].config_id,)
-        assert selected == trace.final_selection == saturated[0].config_id
-        assert any("survivors" in f for f in trace.flags)
-
-    def test_round_guard_forces_full_data_termination(self, monkeypatch):
-        # The guard is defensive: with a conforming backend saturation always
-        # prunes first, so squeeze the limit to exercise the forced path.
-        import abcselect.engine as engine_mod
-
-        monkeypatch.setattr(engine_mod, "_round_guard_limit", lambda params: 4)
-        backend = StubBackend(
-            [0.5, 0.5], max_train=64_000, max_test=64_000, full_accs=[0.52, 0.5]
-        )
-        params = RunParams(0.001, 0.5, 2, 1000, 1000, 2.0, 1.0, 64_000, 64_000, 0)
-        states = initial_states(list(backend.labels), params)
-        selected, trace = run_abc(states, backend, params)
-        assert any("round guard" in f for f in trace.flags)
-        assert selected == 1
-        forced = [r for r in trace.rounds if r.outcome.train_sample_size == 64_000]
-        assert forced and all(r.ci.width == 0.0 for r in forced)
+        # reaches full data and the interval collapses to the measured point.
+        # A saturated incumbent is kept and never probed again; the other
+        # configuration is then driven to full data and pruned by the point
+        # it reaches, so the better one is returned as the sole survivor.
+        for kind in SchedulerKind:
+            backend = StubBackend(
+                [0.5, 0.5], max_train=4000, max_test=4000, full_accs=[0.52, 0.5]
+            )
+            params = RunParams(0.001, 0.5, 2, 1000, 1000, 2.0, 1.0, 4000, 4000, 0)
+            states = initial_states(list(backend.labels), params)
+            selected, trace = run_abc(states, backend, params, kind)
+            saturated = [r for r in trace.rounds if r.outcome.train_sample_size == 4000]
+            assert [r.config_id for r in saturated] in ([1, 2], [2, 1])
+            assert all(r.ci.width == 0.0 for r in saturated)
+            assert all(r.incumbent_id not in r.pruned_ids for r in trace.rounds)
+            assert trace.rounds[-1].pruned_ids == (2,)
+            assert selected == trace.final_selection == 1
+            assert [c.id for c in states if c.active] == [1]
+            assert trace.flags == []
 
 
 def engine_state(uppers, lowers, incumbent_id, active=None, probed=True):
@@ -194,9 +182,9 @@ def engine_state(uppers, lowers, incumbent_id, active=None, probed=True):
     return EngineState(
         configs=configs,
         params=params,
+        active=ActiveSet(configs),
         incumbent_id=incumbent_id,
         incumbent_lower=configs[incumbent_id - 1].ci.lower,
-        active_set=active_ids,
     )
 
 

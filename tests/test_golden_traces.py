@@ -3,9 +3,9 @@
 Each case runs one selection and hashes, with SHA-256, the selection, the
 flags, the JSONL trace and every configuration's final ``ci``,
 ``cached_ci`` and ``active`` values. The digests were recorded from the
-O(n)-per-round engine loop that the incremental active-set index
-replaced; any change to a pick, an interval, a prune or a snapshot changes
-them. A change that alters traces on purpose re-records them and says so.
+engine whose prune rule never removes the incumbent; any change to a pick,
+an interval, a prune or a snapshot changes them. A change that alters
+traces on purpose re-records them and says so.
 """
 
 import hashlib
@@ -14,7 +14,6 @@ import json
 import numpy as np
 import pytest
 
-import abcselect.engine as engine
 from abcselect.engine import run_abc, select_with_budget
 from abcselect.harness import (
     make_plateau_instance,
@@ -37,8 +36,6 @@ FAMILIES = {
     "skewed": lambda: make_skewed_cost_instance(4, n=20),
 }
 BUDGET = 2e5
-# Hit during the second warm-up sweep, with nine survivors.
-GUARD_LIMIT = 35
 
 
 def stratified_uniform_instance(seed: int, n: int) -> SyntheticInstance:
@@ -71,18 +68,8 @@ def run_digest(instance, scheduler, budget=None, seed=11) -> str:
     return hashlib.sha256((blob + "\n" + trace.to_jsonl()).encode()).hexdigest()
 
 
-def guard_digest() -> str:
-    """A run that hits the round guard with several survivors left, so the
-    forced full-data path probes and prunes the remainder."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_round_guard_limit", lambda params: GUARD_LIMIT)
-        return run_digest(stratified_uniform_instance(5, 30), SchedulerKind.GRADIENT_CI)
-
-
 def case_digest(case: str) -> str:
     parts = case.split("/")
-    if parts[0] == "round_guard":
-        return guard_digest()
     if parts[0] == "uniform200":
         return run_digest(stratified_uniform_instance(7, 200), SCHEDULERS[parts[1]])
     family, scheduler, budget = parts
@@ -91,28 +78,27 @@ def case_digest(case: str) -> str:
 
 
 GOLDEN = {
-    "uniform200/gradient_ci": "563e7f79536b4bad02042d42b261167f8a9780831a9171314aa6e1def884a544",
-    "uniform200/ucb": "6d908e9b5aad7757e6f1c9925655bb01edf0a853660d14997114d133d427c764",
+    "uniform200/gradient_ci": "d99dc6f89598211a6c919c02d24da73f1596cfa5450bef232f46dd2b51e590fc",
+    "uniform200/ucb": "69e129040ef5e899a98ea5bfecc599e80702f4361b2d83b4f083ea4b9f8519ad",
     "uniform200/round_robin": "94bf67c97afcd88f19d99d0f5090298cf726e3d353c9c58092662520ae98cc18",
-    "plateau/gradient_ci/unbudgeted": "25fc20385da71750145a2ea7da4c4b2c7010ab138a6370da7dd57c49272d7dc0",
-    "plateau/gradient_ci/budget": "7efbc97ffda126e1179491733e65f8b1feb1b12477f98b16a5cf8b1524ef339c",
+    "plateau/gradient_ci/unbudgeted": "c6618a128a19e6dfc3d7cc5333255b1c8b2f6de3ef222d70a20761525581650a",
+    "plateau/gradient_ci/budget": "906fc982c47521d7abb79aaa67192bc46367c40dae626b5ada85bdab619b36e2",
     "plateau/ucb/unbudgeted": "4017cec9ab9e15f33cf23946b3849c6fe6f42e6a94c78129c366ad3c33f557b5",
-    "plateau/ucb/budget": "5d0a6a1646b22d7baedd3fbe694536b5fa1f775022033335c44e2fed0bd0c1f1",
+    "plateau/ucb/budget": "cdaede15fb38fda46728640be6bf94a9e46f3dce42c472c9397f61930f357a65",
     "plateau/round_robin/unbudgeted": "fa0b0f272a7acbccd0070a1be0e98c36a876af71239cb6efec98d6d0706b1f38",
-    "plateau/round_robin/budget": "ffb50b705c8e4a06708e08b585ee00a7879e2ddf119947bc3649f1a2d3ba18cd",
-    "sweep/gradient_ci/unbudgeted": "c38be59c1bea38ad3ec5cca499cc8be561a95ce93f380bb5aa177ed7f23c49ef",
-    "sweep/gradient_ci/budget": "043f26fc029cd6d9b6690fc5a40c88ee90671d44d9d6280fd85a6ce439a28b40",
-    "sweep/ucb/unbudgeted": "823cf41d1cb8b06d3d6446081db9e479429267fa32c77dde7524aec596ff0fa0",
-    "sweep/ucb/budget": "4e2181cec09f416e0a6b01dacd7bd8a7b11a599a743b309bd6285fd32564d150",
-    "sweep/round_robin/unbudgeted": "8724854eec60fc4ddc566b7db71021d525f28d7186b252551a07467110426fef",
-    "sweep/round_robin/budget": "6b6fc401504f59895a03f4b3b1b171ddcd5a5d2b4596c80edcd1e88cc8ddf0b4",
+    "plateau/round_robin/budget": "3e169ca3aa68d27f7e3cc4649ced4a1ef624fda5249ab8e3fda171acd5e8b585",
+    "sweep/gradient_ci/unbudgeted": "41bc0f5dcf9c2f3602bbb20b66d21020a9e1d152719b0e312d4c8669ad69a3f8",
+    "sweep/gradient_ci/budget": "2f985cf298b0b158f1305ed532f55cae81e7215eec50420d6e58fd6efe7ceaa7",
+    "sweep/ucb/unbudgeted": "184c9e40b06d403550431cfb61daaec90786ad0ee75ca13403eaaa211bf0b571",
+    "sweep/ucb/budget": "09df03ce45470f02fb01bffa565b731419cf6973ee598bc806833f39f2bcb198",
+    "sweep/round_robin/unbudgeted": "fdddcf465ffc827f9cbc8cb417e84c29cf5bb1e4c2cf25a096d24940e84cec43",
+    "sweep/round_robin/budget": "f114536af0a682efd00b1ac81b9a43facb94ef63fc57fee5f64fe0fe99460a93",
     "skewed/gradient_ci/unbudgeted": "1383714b1bb9af4ef361101da25672f16cdd1e4ab9f95032e96f5c25f41679f0",
-    "skewed/gradient_ci/budget": "211cac6ab56262068ee7e4b4a1ba71687dbebf6ae00d49778f02ef5c79431bdd",
+    "skewed/gradient_ci/budget": "e96ead31f6c7d59758076da2836a44226b38eb29587b9bde38ea38e2f61ed6ef",
     "skewed/ucb/unbudgeted": "351e4920609c0ce893ecc36fbb1e3677aee0bee5fe6490bd989dfb58b7af8dc0",
-    "skewed/ucb/budget": "872cb16d3e0a431779a3b42293905498c3e50373f7c4a8c6c4a0b2b884009a15",
+    "skewed/ucb/budget": "3042ccf7fc0490f34f5c6332e852faa7b13074f131d2e21e36f4a9fc7ac82b56",
     "skewed/round_robin/unbudgeted": "5205eb284156eb7a8a28e7b15be8a97edd0c05fe60206915d7e611d0a56cd215",
-    "skewed/round_robin/budget": "872cb16d3e0a431779a3b42293905498c3e50373f7c4a8c6c4a0b2b884009a15",
-    "round_guard": "6dfcb87696b03b9b74a77c5a1ccf32001b0dee1fdd25345f0c1e5a8bb3fb4b30",
+    "skewed/round_robin/budget": "3042ccf7fc0490f34f5c6332e852faa7b13074f131d2e21e36f4a9fc7ac82b56",
 }
 
 
@@ -121,7 +107,6 @@ def test_every_case_is_recorded():
         [f"uniform200/{s}" for s in SCHEDULERS]
         + [f"{f}/{s}/{b}" for f in FAMILIES for s in SCHEDULERS
            for b in ("unbudgeted", "budget")]
-        + ["round_guard"]
     )
     assert sorted(GOLDEN) == sorted(cases)
 
@@ -130,13 +115,3 @@ def test_every_case_is_recorded():
 def test_trace_matches_golden(case):
     assert case_digest(case) == GOLDEN[case]
 
-
-def test_round_guard_case_hits_the_guard():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_round_guard_limit", lambda params: GUARD_LIMIT)
-        states, backend, params = fresh_run_inputs(stratified_uniform_instance(5, 30), seed=11)
-        _, trace = run_abc(states, backend, params)
-    assert any("round guard" in f for f in trace.flags)
-    forced = [r for r in trace.rounds if r.round_index > GUARD_LIMIT]
-    assert len(forced) >= 2
-    assert all(r.ci.width == 0.0 for r in forced)

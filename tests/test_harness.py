@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -218,16 +219,16 @@ class TestStructuralAudit:
 
 
 # Seeded tamperings of engine traces and the SHA-256 of the findings the
-# structural audit reports for them. The digests were recorded before the
-# audit's interval replay moved into the engine's shared kernel; a change
-# to any finding, or to which rows it names, changes them.
+# structural audit reports for them. The digests were recorded on the
+# engine whose prune rule never removes the incumbent; a change to any
+# finding, or to which rows it names, changes them.
 AUDIT_FAMILIES = {
     "plateau": lambda: make_plateau_instance(2, n_fillers=4),
     "sweep": lambda: make_sweep_instance(3, n=8),
     "skewed": lambda: make_skewed_cost_instance(4, n=20),
 }
 AUDIT_SCHEDULERS = {kind.value: kind for kind in SchedulerKind}
-TAMPERINGS = ("ulp", "pruned", "incumbent", "after_prune", "round_index")
+TAMPERINGS = ("ulp", "pruned", "incumbent", "after_prune", "round_index", "prune_incumbent")
 TAMPER_SEEDS = range(4)
 
 
@@ -260,6 +261,9 @@ def tamper(rounds, kind, rng, n):
     elif kind == "incumbent":
         wrong = rng.choice([i for i in range(1, n + 1) if i != row.incumbent_id])
         rounds[k] = replace(row, incumbent_id=wrong)
+    elif kind == "prune_incumbent":
+        pruned = tuple(sorted({*row.pruned_ids, row.incumbent_id}))
+        rounds[k] = replace(row, pruned_ids=pruned, snapshot=True)
     elif kind == "after_prune":
         later = [
             (j, pid)
@@ -290,20 +294,22 @@ def audit_findings_digest(case):
             rounds = tamper(trace.rounds, kind, rng, params.n_configs)
             issues = [str(issue) for issue in structural_audit(rounds, params)]
             assert issues, f"{kind} tampering {seed} not detected"
+            if kind == "prune_incumbent":
+                assert any(re.fullmatch(r"round \d+: incumbent \d+ pruned", i) for i in issues)
             findings.append([kind, seed, issues])
     return hashlib.sha256(json.dumps(findings).encode()).hexdigest()
 
 
 GOLDEN_AUDIT = {
-    "plateau/gradient_ci": "3a42990b62a2a535ef6d0a0d5197d5ed845f38c33273f20a2bd6a85e84a8006c",
-    "plateau/ucb": "d670abeed68482b732bd833373d86a1d9b769ce02dc88386640bf356ce3ae042",
-    "plateau/round_robin": "4b6fabd42d725844599d1d07a6a541fc52a671c45a37df21fed6b149c252058b",
-    "sweep/gradient_ci": "14b001c3b4572bcf97b7fd6ad369f99af6e835eaaca6c17b9fb0122a32ae1f62",
-    "sweep/ucb": "07a785a16ff17e2ecb62b061abb37cea8d22b9b07cdf99cbfebc1917bcb0525e",
-    "sweep/round_robin": "de7961686326dfdefae21eb51bbde76f92b469debb0df6f8bbefa33b75894c4b",
-    "skewed/gradient_ci": "5045d84f963a0edb7ba4c75dc3dff4522ca0ef9c30e2616f538367c38658d659",
-    "skewed/ucb": "5429e1030aa2b15e4a1e2d913b6d065a500a5b83759164b1e721bae0d36ca078",
-    "skewed/round_robin": "2bc72aa58cfbff7f9914eb854bdb0429f33a62ced52371527fb0176aa0f3e5be",
+    "plateau/gradient_ci": "393b9d48ef89b586cd3811d726691740bf0adb3926f11e9976445be4a2c3c7a9",
+    "plateau/ucb": "85f9c2d7fa6c67cce225456f0b0d782ae56f44237a80ae77a9ea08603a10861c",
+    "plateau/round_robin": "3af690c276bc313cebd09a60681ed9877488d3f1e820e97ac3f19e1e13214b8e",
+    "sweep/gradient_ci": "9603c1375891f71bc8aed52470d9b4a1a61358c55c27655c11bc8ce3edd5b3ee",
+    "sweep/ucb": "02218f1142b84afde49686bd26eeeb86d64e9516779b21251fe2faa0da909e82",
+    "sweep/round_robin": "ba14ecad60cc684042daaaea7864f91c1e7a79a3ec51989ef4ea36f2bce7af67",
+    "skewed/gradient_ci": "4c00743966b4b8b2538a74621fbd83f5b7acd58c546dd6b0be9aebcc02cc88c9",
+    "skewed/ucb": "8f4aec9b6f39e61f29a2c7e12d68493362da04f34e7125d61a98992aec9b3e57",
+    "skewed/round_robin": "e0937cbcc7b597d53e7f9a3ce343817a4419625b8e043d74deab953e66427aec",
 }
 
 

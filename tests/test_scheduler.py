@@ -76,7 +76,7 @@ class TestGradientCIPick:
             1: GradientEstimate(1.0, 0.02, -0.01),   # g1 = 50
             2: GradientEstimate(1.0, 0.01, -0.01),   # G = 100
         }
-        assert gradient_ci_pick([a, b], grads) == 1
+        assert gradient_ci_pick([a, b], grads, incumbent_id=1) == 1
 
     def test_runner_up_when_leader_expensive(self):
         a = make_config(1, upper=0.95)
@@ -85,7 +85,7 @@ class TestGradientCIPick:
             1: GradientEstimate(1.0, 0.001, -0.01),  # g1 = 1000
             2: GradientEstimate(1.0, 0.01, -0.01),   # G = 100
         }
-        assert gradient_ci_pick([a, b], grads) == 2
+        assert gradient_ci_pick([a, b], grads, incumbent_id=1) == 2
 
     def test_stalled_lower_bound_is_infinite(self):
         a = make_config(1, upper=0.95)
@@ -94,7 +94,7 @@ class TestGradientCIPick:
             1: GradientEstimate(1.0, 0.0, -0.01),
             2: GradientEstimate(1.0, 0.01, -0.01),
         }
-        assert gradient_ci_pick([a, b], grads) == 2
+        assert gradient_ci_pick([a, b], grads, incumbent_id=1) == 2
 
     def test_nonnegative_upper_delta_contributes_zero(self):
         a = make_config(1, upper=0.95)
@@ -106,24 +106,59 @@ class TestGradientCIPick:
             3: GradientEstimate(1.0, 0.01, -0.1),   # contributes 10
         }
         # G = 10 < 50: runner-up (config 2, the second-highest upper)
-        assert gradient_ci_pick([a, b, c], grads) == 2
+        assert gradient_ci_pick([a, b, c], grads, incumbent_id=1) == 2
+
+    def test_incumbent_leads_below_the_top_upper_bound(self):
+        # LUCB's pair: the incumbent (2) leads and the top other configuration
+        # by upper bound (1) is the runner-up; G sums over 1 and 3.
+        a = make_config(1, upper=0.95)
+        b = make_config(2, upper=0.90, lower=0.80)
+        c = make_config(3, upper=0.85)
+        grads = {
+            1: GradientEstimate(1.0, 0.01, -0.02),  # contributes 50
+            2: GradientEstimate(1.0, 0.015, -0.5),  # g1 = 66.7
+            3: GradientEstimate(1.0, 0.01, -0.1),   # contributes 10
+        }
+        assert gradient_ci_pick([a, b, c], grads, incumbent_id=2) == 1
+        grads[3] = GradientEstimate(1.0, 0.01, -0.05)  # contributes 20: G = 70
+        assert gradient_ci_pick([a, b, c], grads, incumbent_id=2) == 2
+
+    def test_saturated_incumbent_yields_runner_up(self):
+        a = make_config(1, upper=0.95)
+        b = make_config(2, upper=0.90)
+        grads = {
+            1: GradientEstimate(1.0, 0.02, -0.01),   # g1 = 50
+            2: GradientEstimate(1.0, 0.01, -0.01),   # G = 100
+        }
+        assert gradient_ci_pick([a, b], grads, 1, incumbent_saturated=True) == 2
+        assert gradient_ci_pick([a, b], grads, 2, incumbent_saturated=True) == 1
+
+    def test_rejects_inactive_incumbent(self):
+        a = make_config(1, upper=0.95)
+        b = make_config(2, upper=0.90)
+        grads = {i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)}
+        with pytest.raises(ValueError):
+            gradient_ci_pick([a, b], grads, incumbent_id=3)
 
     def test_requires_two_probes_each(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90, probes=1)
         grads = {1: GradientEstimate(1.0, 0.01, -0.01)}
         with pytest.raises(ValueError):
-            gradient_ci_pick([a, b], grads)
+            gradient_ci_pick([a, b], grads, incumbent_id=1)
 
-    @given(st.lists(st.floats(0.5, 1.0), min_size=2, max_size=8))
-    def test_only_top_two_returned(self, uppers):
+    @given(st.lists(st.floats(0.5, 1.0), min_size=2, max_size=8), st.data())
+    def test_only_top_two_returned(self, uppers, data):
+        # The two candidates are the incumbent and the top other configuration.
         configs = [make_config(i + 1, upper=u) for i, u in enumerate(uppers)]
         grads = {
             c.id: GradientEstimate(1.0, 0.01, -0.01) for c in configs
         }
         ranked = sorted(configs, key=lambda c: (-c.ci.upper, c.id))
-        pick = gradient_ci_pick(ranked, grads)
-        assert pick in (ranked[0].id, ranked[1].id)
+        incumbent = data.draw(st.sampled_from(ranked))
+        runner_up = next(c for c in ranked if c is not incumbent)
+        pick = gradient_ci_pick(ranked, grads, incumbent.id)
+        assert pick in (incumbent.id, runner_up.id)
 
 
 class TestUcbPick:
@@ -159,10 +194,14 @@ class TestRoundRobinPick:
 def test_pick_next_dispatch():
     configs = [make_config(1, 0.9), make_config(2, 0.95)]
     grads = {i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)}
-    assert pick_next(SchedulerKind.UCB, configs, grads) == 2
-    assert pick_next(SchedulerKind.ROUND_ROBIN, configs, grads) == 1
-    assert pick_next(SchedulerKind.GRADIENT_CI, configs[::-1], grads) in (1, 2)
-    assert pick_next(SchedulerKind.UCB, [configs[0]], {}) == 1
+    assert pick_next(SchedulerKind.UCB, configs, grads, 1) == 2
+    assert pick_next(SchedulerKind.ROUND_ROBIN, configs, grads, 1) == 1
+    assert pick_next(SchedulerKind.GRADIENT_CI, configs[::-1], grads, 1) in (1, 2)
+    assert pick_next(SchedulerKind.UCB, [configs[0]], {}, 1) == 1
+    # Gradient-CI skips a saturated incumbent.
+    kind = SchedulerKind.GRADIENT_CI
+    assert pick_next(kind, configs[::-1], grads, 2, incumbent_saturated=True) == 1
+    assert pick_next(kind, configs[::-1], grads, 1, incumbent_saturated=True) == 2
 
 
 def test_reported_cost_ratio_versus_brute_force_schedule():
