@@ -52,11 +52,13 @@ from .probes import (
 )
 from .scheduler import (
     GradientEstimate,
+    GradientSum,
     SchedulerKind,
     gradient_ci_pick,
     next_sample_size,
     optimal_step_size,
     round_robin_pick,
+    sweeps,
     ucb_pick,
 )
 

@@ -64,6 +64,16 @@ def _list(value, what: str, kinds: tuple[type, ...] = ()) -> list:
     return value
 
 
+def _number(conf: dict, key: str, default, where: str, kind: type = float):
+    """``conf[key]``, or ``default`` when absent, converted by ``kind``;
+    ``conf`` is the config section named ``where``."""
+    value = conf.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key {key!r} in {where} must be a number, got {value!r}") from exc
+
+
 def _load_json(path: str | Path, what: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -113,29 +123,38 @@ def _parse_source(
         raise ConfigError(f"invalid learners in {where}: {exc}") from exc
     if not learners:
         raise ConfigError(f"{where} key 'learners' must list at least one learner")
+    header = conf.get("header", False)
+    if type(header) is not bool:
+        raise ConfigError(f"key 'header' in {where} must be true or false, got {header!r}")
     return InstanceSource(
         name=where,
         csv_path=str(csv_path),
         learners=learners,
-        holdout=float(conf.get("holdout", 0.3)),
-        header=bool(conf.get("header", False)),
-        split_seed=int(conf.get("split_seed", 0)),
+        holdout=_number(conf, "holdout", 0.3, where),
+        header=header,
+        split_seed=_number(conf, "split_seed", 0, where, int),
     )
 
 
 def _build_params(conf: dict, backend, seed: int) -> RunParams:
-    alpha = float(conf.get("alpha_cost_exponent", 1.0))
+    epsilon = _number(conf, "epsilon", 0.01, "params")
+    delta = _number(conf, "delta", 0.5, "params")
+    train0 = _number(conf, "initial_train_size", 1000, "params", int)
+    test0 = _number(conf, "initial_test_size", 2000, "params", int)
+    alpha = _number(conf, "alpha_cost_exponent", 1.0, "params")
     if "step_factor_c" in conf:
-        c = float(conf["step_factor_c"])
-    else:
+        c = _number(conf, "step_factor_c", 0.0, "params")
+    elif alpha > 0.0:
         c = optimal_step_size(alpha)
+    else:
+        raise ConfigError(f"key 'alpha_cost_exponent' in params must be > 0, got {alpha}")
     try:
         return RunParams(
-            epsilon=float(conf.get("epsilon", 0.01)),
-            delta=float(conf.get("delta", 0.5)),
+            epsilon=epsilon,
+            delta=delta,
             n_configs=backend.n_configs,
-            initial_train_size=min(int(conf.get("initial_train_size", 1000)), backend.max_train_size),
-            initial_test_size=min(int(conf.get("initial_test_size", 2000)), backend.max_test_size),
+            initial_train_size=min(train0, backend.max_train_size),
+            initial_test_size=min(test0, backend.max_test_size),
             step_factor_c=c,
             alpha_cost_exponent=alpha,
             max_train_size=backend.max_train_size,
@@ -147,13 +166,20 @@ def _build_params(conf: dict, backend, seed: int) -> RunParams:
 
 
 def _resolve_seed(conf_params: dict) -> int:
+    """The run's seed: ABC_SEED when set, else the params key 'seed' (0 by
+    default); either must be an integer in [0, 2**64)."""
     env = os.environ.get("ABC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"ABC_SEED must be an integer, got {env!r}") from exc
-    return int(conf_params.get("seed", 0))
+    if env is None:
+        where, value = "key 'seed' in params", conf_params.get("seed", 0)
+    else:
+        where, value = "ABC_SEED", env
+    try:
+        seed = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where} must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def cmd_run(args: argparse.Namespace) -> int:

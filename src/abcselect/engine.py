@@ -25,25 +25,26 @@ steps + 1)`` rounds.
 One index, :class:`ActiveSet`, holds the ``(-upper, id)`` rank order and the
 prune rule; the loop and the structural audit's replay both use it and
 :func:`update_interval`. Only the probed configuration's interval changes in
-a round, so the engine's own work per round is O(log n) comparisons plus
-list moves of at most n pointers; scanning is left to the scheduler's
-``pick_next``. The warm-up sweeps are two queues built once each. Pruning
-walks in from the low-upper end of the ranked order (``upper -
-incumbent_lower`` is monotone in ``upper`` under float subtraction), and
-snapshots are lazy (see :class:`ActiveSet`). Gradient-CI gets the ranked
-order and each configuration's gradient estimate, computed once when it is
-probed; it sums G left to right on every pick (see
-:func:`~abcselect.scheduler.gradient_ci_pick`).
+a round, so the engine's own work per round is O(log n) tuple comparisons
+plus list moves of at most n pointers, and each pick is O(1): UCB and
+gradient-CI read the head of the ranked order, and gradient-CI's G is an
+exact sum that gains or loses one term when a configuration is probed or
+pruned (:class:`~abcselect.scheduler.GradientSum`). The warm-up is two
+:func:`~abcselect.scheduler.sweeps`, each a queue built once; round-robin
+continues them. Pruning walks in from the low-upper end of the ranked order
+(``upper - incumbent_lower`` is monotone in ``upper`` under float
+subtraction), and snapshots are lazy (see :class:`ActiveSet`).
 
 Also provides the anytime best-guess output and budget-limited runs.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .ci_estimator import clamp_to_cached, lower_bound, upper_bound
 from .core import (
@@ -58,7 +59,14 @@ from .core import (
     initial_states,
 )
 from .probes import ProbeBackend
-from .scheduler import GradientEstimate, SchedulerKind, next_sample_size, pick_next
+from .scheduler import (
+    GradientEstimate,
+    GradientSum,
+    SchedulerKind,
+    next_sample_size,
+    pick_next,
+    sweeps,
+)
 
 __all__ = [
     "ActiveSet",
@@ -96,9 +104,10 @@ class ActiveSet:
     """Index of a run's active configurations, updated one entry at a time.
 
     ``ids`` holds the active ids in ascending order and ``ranked`` the active
-    configurations ordered by ``(-upper, id)``: the order gradient-CI ranks
-    by, with the prune candidates at its low-upper end. ``active`` is the set
-    of active ids. ``update`` and ``prune`` find an entry by bisection.
+    configurations ordered by ``(-upper, id)``: UCB's pick and gradient-CI's
+    pair at its head, the prune candidates at its low-upper end. ``active``
+    is the set of active ids. ``update`` and ``prune`` find an entry by
+    bisecting a parallel list of the ``(-upper, id)`` keys.
 
     Snapshots are lazy. ``prune`` counts a snapshot in ``snapshots``, and a
     configuration's ``cached_ci`` is set from its ``ci`` only when it is read
@@ -113,7 +122,8 @@ class ActiveSet:
         self.active = set(self.ids)
         self.snapshots = 0
         self._synced = [0] * len(configs)
-        self.ranked = sorted((c for c in configs if c.active), key=_rank)
+        self._keys = sorted((-c.ci.upper, c.id) for c in configs if c.active)
+        self.ranked = [self._configs[i - 1] for _, i in self._keys]
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -133,7 +143,10 @@ class ActiveSet:
         self.cached(cfg)
         self._unrank(cfg)
         cfg.ci = ci
-        self.ranked.insert(bisect_left(self.ranked, _rank(cfg), key=_rank), cfg)
+        key = (-ci.upper, cfg.id)
+        i = bisect_left(self._keys, key)
+        self._keys.insert(i, key)
+        self.ranked.insert(i, cfg)
 
     def due(
         self, incumbent_id: int, incumbent_lower: float, epsilon: float
@@ -169,11 +182,9 @@ class ActiveSet:
             self.cached(cfg)
 
     def _unrank(self, cfg: ConfigurationState) -> None:
-        del self.ranked[bisect_left(self.ranked, _rank(cfg), key=_rank)]
-
-
-def _rank(cfg: ConfigurationState) -> tuple[float, int]:
-    return (-cfg.ci.upper, cfg.id)
+        i = bisect_left(self._keys, (-cfg.ci.upper, cfg.id))
+        del self._keys[i]
+        del self.ranked[i]
 
 
 def update_interval(
@@ -259,17 +270,6 @@ def _next_probe_sizes(cfg: ConfigurationState, params: RunParams) -> tuple[int, 
     return s_tr, s_te
 
 
-def _warmup(configs: Sequence[ConfigurationState]) -> Iterator[ConfigurationState]:
-    """Warm-up sweeps in ascending id order: every active configuration not
-    yet probed, then every one probed once. Each queue is built when its
-    sweep starts; entries pruned meanwhile are skipped."""
-    for probes in (0, 1):
-        queue = [c for c in configs if c.active and len(c.history) == probes]
-        for cfg in queue:
-            if cfg.active:
-                yield cfg
-
-
 def _gradient_estimate(
     cfg: ConfigurationState, prev_ci: ConfidenceInterval
 ) -> GradientEstimate:
@@ -294,17 +294,23 @@ def _run(
         configs=list(configs), params=params, active=active, incumbent_id=configs[0].id
     )
     state.trace.params = params
-    warmup = _warmup(state.configs)
-    grads: dict[int, GradientEstimate] = {}
+    # The warm-up probes every configuration at the initial size, then once
+    # grown; round-robin is the same sweeps continued.
+    warmup = sweeps(state.configs, active.ids, range(2))
+    rr_sweep = None
+    if scheduler is SchedulerKind.ROUND_ROBIN:
+        rr_sweep = sweeps(state.configs, active.ids, itertools.count(2))
+    grads = GradientSum()
+    track_grads = scheduler is SchedulerKind.GRADIENT_CI
 
     while len(active) > 1:
         cfg = next(warmup, None)
         if cfg is None:
-            # Every scheduler breaks ties by id, so the order of its input
-            # does not change its pick; gradient-CI needs it ranked.
             saturated = _saturated(state.by_id(state.incumbent_id), params)
             cfg = state.by_id(
-                pick_next(scheduler, active.ranked, grads, state.incumbent_id, saturated)
+                pick_next(
+                    scheduler, active.ranked, grads, state.incumbent_id, saturated, rr_sweep
+                )
             )
         s_tr, s_te = _next_probe_sizes(cfg, params)
 
@@ -343,8 +349,8 @@ def _run(
         prev_ci = cfg.ci
         cfg.append_probe(outcome)
         active.update(cfg, ci)
-        if len(cfg.history) >= 2:
-            grads[cfg.id] = _gradient_estimate(cfg, prev_ci)
+        if track_grads and len(cfg.history) >= 2:
+            grads.set(cfg.id, _gradient_estimate(cfg, prev_ci))
 
         if ci.lower > state.incumbent_lower:
             state.incumbent_id = cfg.id
@@ -353,7 +359,7 @@ def _run(
         pruned = active.due(state.incumbent_id, state.incumbent_lower, params.epsilon)
         active.prune(pruned)
         for pid in pruned:
-            grads.pop(pid, None)
+            grads.discard(pid)
 
         state.trace.append(
             TraceRound(

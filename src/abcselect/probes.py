@@ -292,10 +292,16 @@ class SyntheticBackend:
         spec = self._spec(config_id)
         if s_tr > self.max_train_size or s_te > self.max_test_size:
             raise ValueError("requested sizes exceed the full data sizes")
-        # Evaluating on the entire test set measures the accuracy exactly.
-        exact = s_te >= self.max_test_size
-        seed_seq = np.random.SeedSequence([self._seed, config_id, s_tr, s_te])
-        return probe_synthetic(spec, s_tr, s_te, seed_seq, population_test=exact)
+        # Evaluating on the entire test set measures the accuracy exactly,
+        # with no draw to seed.
+        if s_te >= self.max_test_size:
+            return probe_synthetic(spec, s_tr, s_te, None, population_test=True)
+        entropy = [self._seed, config_id, s_tr, s_te]
+        # SeedSequence splits each int of a list into 32-bit words, so when
+        # every int is one word a uint32 array gives the same pool, faster.
+        if self._seed < 2**32 and 0 <= s_tr < 2**32 and 0 <= s_te < 2**32:
+            entropy = np.array(entropy, dtype=np.uint32)
+        return probe_synthetic(spec, s_tr, s_te, np.random.SeedSequence(entropy))
 
     def estimate_cost(self, config_id: int, s_tr: int, s_te: int) -> float:
         return self._spec(config_id).cost(s_tr)

@@ -7,12 +7,15 @@ Three schedulers decide which active configuration to probe next:
 * UCB: always probe the configuration with the highest upper bound;
 * round-robin: probe the configuration with the fewest probes so far.
 
-None of them picks a saturated incumbent (one already probed on the full
-data, whose interval is the exact point). Gradient-CI skips it; every other
-active configuration has fewer probes and an upper bound above that point
-by more than epsilon, so UCB and round-robin never rank it first.
-Gradient-CI takes its input already ranked by ``(-upper, id)``; UCB and
-round-robin break ties by id, so the order of their input does not matter.
+Each pick is O(1). UCB and gradient-CI read the head of the active set
+ranked by ``(-upper, id)``, as :class:`~abcselect.engine.ActiveSet` keeps
+it; gradient-CI's sum G is kept exact and up to date by
+:class:`GradientSum`, one configuration at a time. Round-robin continues
+the warm-up's :func:`sweeps`. None of them picks a saturated incumbent (one
+already probed on the full data, whose interval is the exact point).
+Gradient-CI skips it; every other active configuration has fewer probes and
+an upper bound above that point by more than epsilon, so UCB and
+round-robin never rank it first.
 
 Sample sizes grow geometrically by a factor ``c``; for a cost model
 ``T(s) = s**alpha`` the worst-case-optimal factor is ``2**(1/alpha)``.
@@ -23,18 +26,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import ConfigurationState
 
 __all__ = [
     "GradientEstimate",
+    "GradientSum",
     "SchedulerKind",
     "gradient_ci_pick",
     "next_sample_size",
     "optimal_step_size",
     "pick_next",
     "round_robin_pick",
+    "sweeps",
     "ucb_pick",
 ]
 
@@ -84,25 +89,122 @@ def next_sample_size(current: int, c: float, cap: int) -> int:
     return min(cap, max(current + 1, grown))
 
 
-def ucb_pick(active: Sequence[ConfigurationState]) -> int:
-    """Id of the active configuration with the highest upper bound (ties: lowest id)."""
-    if not active:
-        raise ValueError("no active configurations")
-    best = min(active, key=lambda c: (-c.ci.upper, c.id))
-    return best.id
+# 2**-1074, the smallest subnormal float, divides every finite float.
+_UNITS_PER_ONE = 1 << 1074
 
 
-def round_robin_pick(active: Sequence[ConfigurationState]) -> int:
-    """Id of the active configuration with the fewest probes (ties: lowest id)."""
-    if not active:
+class GradientSum:
+    """Gradient-CI's estimate for every configuration probed at least twice,
+    and the exact sum of their terms, kept one configuration at a time.
+
+    A configuration's term is its cost per unit of upper-bound decrease,
+    ``|delta_cost / delta_upper|``, and 0 when its upper bound did not move
+    down. Every finite float is an integer multiple of 2**-1074, so the
+    finite terms add up exactly in one Python int in those units, whatever
+    the order of additions and removals (a superaccumulator; Neal, "Fast
+    exact summation using small and large superaccumulators",
+    arXiv:1505.05571). Infinite terms are counted apart.
+    """
+
+    def __init__(self) -> None:
+        # id -> (estimate, term in units of 2**-1074, None when infinite)
+        self._entries: dict[int, tuple[GradientEstimate, int | None]] = {}
+        self._total = 0
+        self._infs = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, config_id: int) -> GradientEstimate | None:
+        entry = self._entries.get(config_id)
+        return None if entry is None else entry[0]
+
+    def set(self, config_id: int, estimate: GradientEstimate) -> None:
+        """Make ``estimate`` the configuration's, replacing its old term."""
+        self.discard(config_id)
+        d_up = estimate.delta_upper
+        term = abs(estimate.delta_cost / d_up) if d_up < 0.0 else 0.0
+        if term == math.inf:
+            scaled = None
+            self._infs += 1
+        else:
+            p, q = term.as_integer_ratio()
+            scaled = p << (1075 - q.bit_length())
+            self._total += scaled
+        self._entries[config_id] = (estimate, scaled)
+
+    def discard(self, config_id: int) -> None:
+        """Drop the configuration's estimate and term, if it has one."""
+        _, scaled = self._entries.pop(config_id, (None, 0))
+        if scaled is None:
+            self._infs -= 1
+        else:
+            self._total -= scaled
+
+    def others(self, config_id: int) -> float:
+        """G: the sum of every term but ``config_id``'s, correctly rounded
+        (one division), ``inf`` if an infinite term is left or the sum is
+        beyond the float range."""
+        total, infs = self._total, self._infs
+        _, scaled = self._entries.get(config_id, (None, 0))
+        if scaled is None:
+            infs -= 1
+        else:
+            total -= scaled
+        if infs:
+            return math.inf
+        try:
+            return total / _UNITS_PER_ONE
+        except OverflowError:
+            return math.inf
+
+
+def sweeps(
+    configs: Sequence[ConfigurationState], ids: Sequence[int], counts: Iterable[int]
+) -> Iterator[ConfigurationState]:
+    """For each probe count k in ``counts``, the active configurations with
+    exactly k probes, lowest id first.
+
+    ``configs[i - 1]`` has id i, and ``ids`` is the live ascending list of
+    active ids (``ActiveSet.ids``). Each sweep's queue is built from ``ids``
+    when the sweep starts; entries pruned meanwhile are skipped. The
+    generator ends when ``counts`` does or no id is left.
+    """
+    for k in counts:
+        if not ids:
+            return
+        queue = [configs[i - 1] for i in ids if len(configs[i - 1].history) == k]
+        for cfg in queue:
+            if cfg.active:
+                yield cfg
+
+
+def ucb_pick(ranked: Sequence[ConfigurationState]) -> int:
+    """Id of the active configuration with the highest upper bound (ties:
+    lowest id): the head of ``ranked``, the active set by ``(-upper, id)``."""
+    if not ranked:
         raise ValueError("no active configurations")
-    best = min(active, key=lambda c: (len(c.history), c.id))
-    return best.id
+    return ranked[0].id
+
+
+def round_robin_pick(sweep: Iterator[ConfigurationState]) -> int:
+    """Id of the active configuration with the fewest probes (ties: lowest
+    id): the next entry of ``sweep``, a :func:`sweeps` generator started at
+    a count no active configuration is below.
+
+    At sweep k every active configuration then has at least k probes, and
+    only the sweep's own picks add probes, so the next queue entry is the
+    one with the fewest probes and the lowest id.
+    """
+    cfg = next(sweep, None)
+    if cfg is None:
+        raise ValueError("no active configurations")
+    return cfg.id
 
 
 def gradient_ci_pick(
     ranked: Sequence[ConfigurationState],
-    grads: Mapping[int, GradientEstimate],
+    grads: GradientSum,
     incumbent_id: int,
     incumbent_saturated: bool = False,
 ) -> int:
@@ -111,58 +213,48 @@ def gradient_ci_pick(
 
     ``ranked`` holds the active configurations, the incumbent among them, by
     upper bound descending, ties lowest id first, as
-    :class:`~abcselect.engine.ActiveSet` keeps them; the order is not
-    checked. Let g1 be the incumbent's cost per unit of lower-bound increase
-    (treated as +inf when its lower bound did not move up), and G the sum
-    over every other active configuration of |delta_cost / delta_upper| (a
-    term is 0 when that upper bound did not move down). The incumbent is
-    probed when g1 <= G and it is not saturated, otherwise the runner-up is.
+    :class:`~abcselect.engine.ActiveSet` keeps them; only its first two
+    entries are read. ``grads`` holds the estimate of every active
+    configuration. Let g1 be the incumbent's cost per unit of lower-bound
+    increase (treated as +inf when its lower bound did not move up), and G
+    the exact sum over every other active configuration of its term (see
+    :class:`GradientSum`). The incumbent is probed when g1 <= G and it is not
+    saturated, otherwise the runner-up is.
     """
     if len(ranked) < 2:
         raise ValueError("gradient scheduling needs at least two active configurations")
     runner_up = ranked[1] if ranked[0].id == incumbent_id else ranked[0]
     if incumbent_saturated:
         return runner_up.id
-
-    # Left to right in ranked order, on every pick: float addition is not
-    # associative, so a running total or sum() (compensated from Python
-    # 3.12) could flip g1 <= G near ties.
-    total = 0.0
-    g_lead = None
-    for cfg in ranked:
-        g = grads.get(cfg.id)
-        if g is None:
-            raise ValueError(
-                f"config {cfg.id} lacks the two probes required before "
-                "gradient scheduling"
-            )
-        if cfg.id == incumbent_id:
-            g_lead = g
-        elif g.delta_upper < 0.0:
-            total += abs(g.delta_cost / g.delta_upper)
-    if g_lead is None:
+    if len(grads) != len(ranked):
+        raise ValueError(
+            f"{len(ranked) - len(grads)} of {len(ranked)} active configurations "
+            "lack the two probes required before gradient scheduling"
+        )
+    lead = grads.get(incumbent_id)
+    if lead is None:
         raise ValueError(f"incumbent {incumbent_id} is not active")
-
-    if g_lead.delta_lower <= 0.0:
-        g1 = math.inf
-    else:
-        g1 = g_lead.delta_cost / g_lead.delta_lower
-    return incumbent_id if g1 <= total else runner_up.id
+    g1 = math.inf if lead.delta_lower <= 0.0 else lead.delta_cost / lead.delta_lower
+    return incumbent_id if g1 <= grads.others(incumbent_id) else runner_up.id
 
 
 def pick_next(
     kind: SchedulerKind,
-    active: Sequence[ConfigurationState],
-    grads: Mapping[int, GradientEstimate],
+    ranked: Sequence[ConfigurationState],
+    grads: GradientSum,
     incumbent_id: int,
     incumbent_saturated: bool = False,
+    sweep: Iterator[ConfigurationState] | None = None,
 ) -> int:
-    """Dispatch to the scheduler variant; only gradient-CI reads the
-    incumbent. Gradient-CI needs ``active`` ranked by ``(-upper, id)``."""
+    """Dispatch to the scheduler variant. Gradient-CI reads ``ranked``,
+    ``grads`` and the incumbent, UCB only ``ranked``, round-robin only
+    ``sweep``."""
     if kind is SchedulerKind.GRADIENT_CI:
-        return gradient_ci_pick(active, grads, incumbent_id, incumbent_saturated)
+        return gradient_ci_pick(ranked, grads, incumbent_id, incumbent_saturated)
     if kind is SchedulerKind.UCB:
-        return ucb_pick(active)
+        return ucb_pick(ranked)
     if kind is SchedulerKind.ROUND_ROBIN:
-        return round_robin_pick(active)
+        if sweep is None:
+            raise ValueError("round-robin needs its sweep generator")
+        return round_robin_pick(sweep)
     raise ValueError(f"unknown scheduler kind: {kind!r}")

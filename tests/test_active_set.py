@@ -1,16 +1,21 @@
-"""The incremental active-set index against the O(n)-per-round loop it
-replaced.
+"""The incremental active-set index and O(1) picks against the
+O(n)-per-round loop they replaced.
 
 ``reference_run`` is the engine loop as it was before the index: every
-round rescans the active set for the warm-up sweeps, builds every gradient
-estimate, tests every active configuration against the prune rule and
-copies every surviving interval into its snapshot. Hypothesis drives it and
-the engine over small random instances whose accuracies sit on a coarse
-grid, so that upper bounds tie often, and compares picks, pruned tuples and
-final configuration states. ``ReferenceIndex`` does the same for the index
-on its own, with the arbitrary updates and prunes an audit replay can feed
-it.
+round rescans the active set for the warm-up sweeps and the pick, builds
+every gradient estimate, sums G with ``math.fsum`` (correctly rounded, so
+the exact sum's oracle), tests every active configuration against the prune
+rule and copies every surviving interval into its snapshot. Hypothesis
+drives it and the engine over small random instances whose accuracies sit
+on a coarse grid, so that upper bounds tie often, and compares picks,
+pruned tuples and final configuration states. ``ReferenceIndex`` does the
+same for the index on its own, with the arbitrary updates and prunes an
+audit replay can feed it.
 """
+
+import math
+import random
+from collections.abc import Sequence
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -26,7 +31,13 @@ from abcselect.core import (
     initial_states,
 )
 from abcselect.engine import ActiveSet, _next_probe_sizes, run_abc
-from abcselect.scheduler import GradientEstimate, SchedulerKind, pick_next
+from abcselect.scheduler import (
+    GradientEstimate,
+    GradientSum,
+    SchedulerKind,
+    gradient_ci_pick,
+    ucb_pick,
+)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -51,6 +62,15 @@ def reference_run(configs, backend, params, scheduler):
             for cfg in active:
                 if len(cfg.history) == want:
                     return cfg
+        if scheduler is SchedulerKind.UCB:
+            return min(active, key=lambda c: (-c.ci.upper, c.id))
+        if scheduler is SchedulerKind.ROUND_ROBIN:
+            return min(active, key=lambda c: (len(c.history), c.id))
+        incumbent = configs[incumbent_id - 1]
+        others = [c for c in active if c is not incumbent]
+        runner_up = min(others, key=lambda c: (-c.ci.upper, c.id))
+        if saturated(incumbent):
+            return runner_up
         grads = {}
         for cfg in active:
             last, prev = cfg.history[-1], cfg.history[-2]
@@ -59,10 +79,18 @@ def reference_run(configs, backend, params, scheduler):
                 delta_lower=cfg.ci.lower - prev_ci[cfg.id].lower,
                 delta_upper=cfg.ci.upper - prev_ci[cfg.id].upper,
             )
-        ranked = sorted(active, key=lambda c: (-c.ci.upper, c.id))
-        incumbent = configs[incumbent_id - 1]
-        pick = pick_next(scheduler, ranked, grads, incumbent_id, saturated(incumbent))
-        return configs[pick - 1]
+        lead = grads[incumbent_id]
+        g1 = math.inf if lead.delta_lower <= 0.0 else lead.delta_cost / lead.delta_lower
+        terms = [
+            abs(g.delta_cost / g.delta_upper)
+            for c in others
+            if (g := grads[c.id]).delta_upper < 0.0
+        ]
+        try:
+            total = math.fsum(terms)
+        except OverflowError:
+            total = math.inf
+        return incumbent if g1 <= total else runner_up
 
     while len(active_set) > 1:
         cfg = choose()
@@ -247,3 +275,40 @@ def test_index_matches_reference_index(data, n):
     for cfg in states:
         assert cfg.active == (cfg.id in ref.active)
         assert (cfg.ci, cfg.cached_ci) == (ref.ci[cfg.id], ref.cached[cfg.id])
+
+
+class CountingSequence(Sequence):
+    """A read-only sequence that records which positions were read."""
+
+    def __init__(self, items):
+        self._items = items
+        self.reads = set()
+
+    def __len__(self):
+        return len(self._items)
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return self._items[i]
+
+
+def test_picks_read_at_most_the_first_two_ranked_entries():
+    rng = random.Random(5)
+    for n in (10, 1000):
+        params = RunParams(0.01, 0.5, n, 1, 1, 2.0, 1.0, 1, 1, 0)
+        states = initial_states([""] * n, params)
+        for cfg in states:
+            upper = rng.choice(GRID[1:] + (rng.random(),))
+            cfg.ci = ConfidenceInterval(upper / 2, upper)
+        index = ActiveSet(states)
+        grads = GradientSum()
+        for cfg in states:
+            grads.set(cfg.id, GradientEstimate(rng.random(), rng.random() - 0.5, -rng.random()))
+        for incumbent in (index.ranked[0].id, index.ranked[1].id, index.ranked[-1].id):
+            for saturated in (False, True):
+                ranked = CountingSequence(index.ranked)
+                gradient_ci_pick(ranked, grads, incumbent, saturated)
+                assert ranked.reads <= {0, 1}
+        ranked = CountingSequence(index.ranked)
+        assert ucb_pick(ranked) == index.ranked[0].id
+        assert ranked.reads == {0}

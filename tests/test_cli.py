@@ -332,3 +332,48 @@ def test_run_bad_cost_model_exits_1(tmp_path, capsys, cost_model):
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert "key 'cost_model' in backend" in capsys.readouterr().err
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "params, env_seed, key",
+    [
+        ({"alpha_cost_exponent": "x"}, None, "alpha_cost_exponent"),
+        ({"step_factor_c": "x"}, None, "step_factor_c"),
+        ({"seed": "x"}, None, "'seed'"),
+        ({"seed": -1}, None, "'seed'"),
+        ({}, "-1", "ABC_SEED"),
+        ({"alpha_cost_exponent": 0}, None, "alpha_cost_exponent"),
+        ({"alpha_cost_exponent": -2.0}, None, "alpha_cost_exponent"),
+        ({"epsilon": "x"}, None, "'epsilon'"),
+        ({"delta": [0.5]}, None, "'delta'"),
+        ({"initial_train_size": "1e3"}, None, "initial_train_size"),
+    ],
+)
+def test_run_bad_params_value_exits_1(synthetic_setup, capsys, monkeypatch, params, env_seed, key):
+    tmp_path, _, config = synthetic_setup
+    config["params"].update(params)
+    if env_seed is not None:
+        monkeypatch.setenv("ABC_SEED", env_seed)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("holdout", "x"), ("holdout", [0.3]), ("split_seed", "x"), ("header", "false")],
+)
+def test_run_bad_csv_source_number_exits_1(tmp_path, capsys, key, value):
+    csv = tmp_path / "d.csv"
+    csv.write_text("a,y\n1,0\n2,1\n3,0\n4,1\n")
+    config = {
+        "backend": {"csv": str(csv), "header": True, key: value,
+                    "learners": [{"kind": "majority_class"}]},
+        "output": {"trace": str(tmp_path / "t.jsonl"), "report": str(tmp_path / "r.json")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"key '{key}' in backend" in capsys.readouterr().err

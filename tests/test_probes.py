@@ -126,6 +126,31 @@ class TestSyntheticBackend:
         out = backend.probe(1, 1000, 200_000)
         assert out.test_accuracy == basic_spec().true_accuracy(1000)
 
+    @pytest.mark.parametrize(
+        "seed, config_id, s_tr, s_te",
+        [
+            (9, 1, 1000, 2000),
+            (0, 2, 1, 1),
+            (2**32 - 1, 2, 99_999, 199_999),
+            (2**32 + 5, 1, 1000, 2000),  # a seed of two words: the list path
+            (2**40, 2, 2**33 + 1, 2**33),  # sizes of two words
+            (9, 1, 1000, 2**34),  # the full test set: the exact path
+            (2**32 + 5, 2, 2**34, 2**34),
+        ],
+    )
+    def test_probe_matches_list_entropy_seeding(self, seed, config_id, s_tr, s_te):
+        instance = SyntheticInstance(
+            name="t", curves=(basic_spec(), basic_spec(a_inf=0.8)),
+            max_train_size=2**34, max_test_size=2**34,
+        )
+        spec = instance.curves[config_id - 1]
+        seed_seq = np.random.SeedSequence([seed, config_id, s_tr, s_te])
+        expected = probe_synthetic(
+            spec, s_tr, s_te, seed_seq, population_test=s_te >= instance.max_test_size
+        )
+        backend = SyntheticBackend(instance, seed=seed)
+        assert backend.probe(config_id, s_tr, s_te) == expected
+
     def test_truncation_and_file_roundtrip(self, tmp_path):
         inst = self.make_instance()
         assert inst.truncated(1).n_configs == 1

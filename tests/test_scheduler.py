@@ -1,17 +1,22 @@
+import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from abcselect.core import ConfidenceInterval, ConfigurationState, ProbeOutcome
+from abcselect.engine import ActiveSet
 from abcselect.scheduler import (
     GradientEstimate,
+    GradientSum,
     SchedulerKind,
     gradient_ci_pick,
     next_sample_size,
     optimal_step_size,
     pick_next,
     round_robin_pick,
+    sweeps,
     ucb_pick,
 )
 
@@ -68,43 +73,55 @@ class TestNextSampleSize:
         assert next_sample_size(cap, c, cap) == cap
 
 
+def gradient_sum(estimates):
+    sums = GradientSum()
+    for cid, estimate in estimates.items():
+        sums.set(cid, estimate)
+    return sums
+
+
+def ranked(configs):
+    """``configs`` (ids 1..n, in id order) as the engine ranks them."""
+    return ActiveSet(configs).ranked
+
+
 class TestGradientCIPick:
     def test_leader_when_cheaper_per_unit(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90)
-        grads = {
+        grads = gradient_sum({
             1: GradientEstimate(1.0, 0.02, -0.01),   # g1 = 50
             2: GradientEstimate(1.0, 0.01, -0.01),   # G = 100
-        }
+        })
         assert gradient_ci_pick([a, b], grads, incumbent_id=1) == 1
 
     def test_runner_up_when_leader_expensive(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90)
-        grads = {
+        grads = gradient_sum({
             1: GradientEstimate(1.0, 0.001, -0.01),  # g1 = 1000
             2: GradientEstimate(1.0, 0.01, -0.01),   # G = 100
-        }
+        })
         assert gradient_ci_pick([a, b], grads, incumbent_id=1) == 2
 
     def test_stalled_lower_bound_is_infinite(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90)
-        grads = {
+        grads = gradient_sum({
             1: GradientEstimate(1.0, 0.0, -0.01),
             2: GradientEstimate(1.0, 0.01, -0.01),
-        }
+        })
         assert gradient_ci_pick([a, b], grads, incumbent_id=1) == 2
 
     def test_nonnegative_upper_delta_contributes_zero(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90)
         c = make_config(3, upper=0.85)
-        grads = {
+        grads = gradient_sum({
             1: GradientEstimate(1.0, 0.02, -0.01),  # g1 = 50
             2: GradientEstimate(1.0, 0.01, 0.0),    # contributes 0
             3: GradientEstimate(1.0, 0.01, -0.1),   # contributes 10
-        }
+        })
         # G = 10 < 50: runner-up (config 2, the second-highest upper)
         assert gradient_ci_pick([a, b, c], grads, incumbent_id=1) == 2
 
@@ -114,64 +131,141 @@ class TestGradientCIPick:
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90, lower=0.80)
         c = make_config(3, upper=0.85)
-        grads = {
+        grads = gradient_sum({
             1: GradientEstimate(1.0, 0.01, -0.02),  # contributes 50
             2: GradientEstimate(1.0, 0.015, -0.5),  # g1 = 66.7
             3: GradientEstimate(1.0, 0.01, -0.1),   # contributes 10
-        }
+        })
         assert gradient_ci_pick([a, b, c], grads, incumbent_id=2) == 1
-        grads[3] = GradientEstimate(1.0, 0.01, -0.05)  # contributes 20: G = 70
+        grads.set(3, GradientEstimate(1.0, 0.01, -0.05))  # contributes 20: G = 70
         assert gradient_ci_pick([a, b, c], grads, incumbent_id=2) == 2
 
     def test_saturated_incumbent_yields_runner_up(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90)
-        grads = {
+        grads = gradient_sum({
             1: GradientEstimate(1.0, 0.02, -0.01),   # g1 = 50
             2: GradientEstimate(1.0, 0.01, -0.01),   # G = 100
-        }
+        })
         assert gradient_ci_pick([a, b], grads, 1, incumbent_saturated=True) == 2
         assert gradient_ci_pick([a, b], grads, 2, incumbent_saturated=True) == 1
 
     def test_rejects_inactive_incumbent(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90)
-        grads = {i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)}
+        grads = gradient_sum({i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)})
         with pytest.raises(ValueError):
             gradient_ci_pick([a, b], grads, incumbent_id=3)
 
     def test_requires_two_probes_each(self):
         a = make_config(1, upper=0.95)
         b = make_config(2, upper=0.90, probes=1)
-        grads = {1: GradientEstimate(1.0, 0.01, -0.01)}
-        with pytest.raises(ValueError):
+        grads = gradient_sum({1: GradientEstimate(1.0, 0.01, -0.01)})
+        with pytest.raises(ValueError, match="1 of 2 active configurations"):
             gradient_ci_pick([a, b], grads, incumbent_id=1)
 
     @given(st.lists(st.floats(0.5, 1.0), min_size=2, max_size=8), st.data())
     def test_only_top_two_returned(self, uppers, data):
         # The two candidates are the incumbent and the top other configuration.
         configs = [make_config(i + 1, upper=u) for i, u in enumerate(uppers)]
-        grads = {
-            c.id: GradientEstimate(1.0, 0.01, -0.01) for c in configs
-        }
-        ranked = sorted(configs, key=lambda c: (-c.ci.upper, c.id))
-        incumbent = data.draw(st.sampled_from(ranked))
-        runner_up = next(c for c in ranked if c is not incumbent)
-        pick = gradient_ci_pick(ranked, grads, incumbent.id)
+        grads = gradient_sum({c.id: GradientEstimate(1.0, 0.01, -0.01) for c in configs})
+        order = ranked(configs)
+        incumbent = data.draw(st.sampled_from(order))
+        runner_up = next(c for c in order if c is not incumbent)
+        pick = gradient_ci_pick(order, grads, incumbent.id)
         assert pick in (incumbent.id, runner_up.id)
+
+
+def term_estimate(term):
+    """An estimate whose G term is exactly ``term``."""
+    return GradientEstimate(delta_cost=term, delta_lower=0.0, delta_upper=-1.0)
+
+
+def fsum_or_inf(terms):
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
+TERMS = st.one_of(
+    st.floats(0.0, 1e6),
+    st.floats(0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e308, sys.float_info.max)),
+)
+
+
+class TestGradientSum:
+    @given(st.lists(st.tuples(st.integers(1, 6), st.none() | TERMS), max_size=40))
+    def test_equals_fsum_of_live_terms_after_any_sequence(self, ops):
+        sums, live = GradientSum(), {}
+        for cid, term in ops:
+            if term is None:
+                sums.discard(cid)
+                live.pop(cid, None)
+            else:
+                sums.set(cid, term_estimate(term))
+                live[cid] = term
+            assert len(sums) == len(live)
+            # No configuration 0: others(0) is the whole sum.
+            for skip in range(7):
+                expected = fsum_or_inf(t for i, t in live.items() if i != skip)
+                assert sums.others(skip) == expected
+
+    @given(st.lists(TERMS | st.just(math.inf), max_size=20), st.randoms())
+    def test_adding_then_discarding_every_term_returns_to_zero(self, terms, rnd):
+        sums = GradientSum()
+        for cid, term in enumerate(terms, start=1):
+            sums.set(cid, term_estimate(term))
+        ids = list(range(1, len(terms) + 1))
+        rnd.shuffle(ids)
+        for cid in ids:
+            sums.discard(cid)
+        assert len(sums) == 0
+        assert sums.others(0) == 0.0
+        assert (sums._total, sums._infs) == (0, 0)
+
+    def test_infinite_terms_are_counted_apart(self):
+        sums = gradient_sum({1: term_estimate(math.inf), 2: term_estimate(0.25),
+                             3: term_estimate(0.5)})
+        assert sums.others(0) == math.inf
+        assert sums.others(2) == math.inf
+        assert sums.others(1) == 0.75
+        sums.set(4, term_estimate(math.inf))
+        assert sums.others(1) == math.inf
+        sums.discard(4)
+        sums.set(1, term_estimate(1.0))
+        assert sums.others(0) == 1.75
+
+    def test_finite_total_beyond_float_range_is_infinite(self):
+        big = sys.float_info.max
+        sums = gradient_sum({1: term_estimate(big), 2: term_estimate(big)})
+        assert sums.others(0) == math.inf
+        assert sums.others(1) == big
+
+    def test_upper_bound_that_did_not_move_down_adds_zero(self):
+        sums = gradient_sum({1: GradientEstimate(3.0, 0.1, 0.0),
+                             2: GradientEstimate(3.0, 0.1, 0.2),
+                             3: GradientEstimate(3.0, 0.1, -0.5)})
+        assert sums.others(0) == 6.0
 
 
 class TestUcbPick:
     def test_argmax(self):
         configs = [make_config(1, 0.90), make_config(2, 0.95), make_config(3, 0.85)]
-        assert ucb_pick(configs) == 2
+        assert ucb_pick(ranked(configs)) == 2
 
     def test_tie_breaks_by_id(self):
-        configs = [make_config(2, 0.90), make_config(1, 0.90)]
-        assert ucb_pick(configs) == 1
+        configs = [make_config(1, 0.90), make_config(2, 0.90)]
+        assert ucb_pick(ranked(configs)) == 1
 
     def test_singleton(self):
         assert ucb_pick([make_config(7, 0.5)]) == 7
+
+
+def round_robin(configs, ids=None):
+    ids = [c.id for c in configs] if ids is None else ids
+    return sweeps(configs, ids, itertools.count(2))
 
 
 class TestRoundRobinPick:
@@ -181,27 +275,50 @@ class TestRoundRobinPick:
             make_config(2, 0.9, probes=2),
             make_config(3, 0.9, probes=3),
         ]
-        assert round_robin_pick(configs) == 2
+        assert round_robin_pick(round_robin(configs)) == 2
 
     def test_tie_breaks_by_id(self):
-        configs = [make_config(2, 0.9, probes=2), make_config(1, 0.9, probes=2)]
-        assert round_robin_pick(configs) == 1
+        configs = [make_config(1, 0.9, probes=2), make_config(2, 0.9, probes=2)]
+        assert round_robin_pick(round_robin(configs)) == 1
 
     def test_singleton(self):
-        assert round_robin_pick([make_config(4, 0.9)]) == 4
+        configs = [make_config(i, 0.9) for i in range(1, 5)]
+        assert round_robin_pick(round_robin(configs, ids=[4])) == 4
+
+    def test_sweeps_continue_in_fewest_probes_order(self):
+        configs = [make_config(i, 0.9, probes=2) for i in range(1, 4)]
+        ids = [1, 2, 3]
+        sweep = round_robin(configs, ids)
+        picks = []
+        for _ in range(5):
+            cfg = configs[round_robin_pick(sweep) - 1]
+            cfg.append_probe(ProbeOutcome(1000 * (len(cfg.history) + 1), 2000, 0.9, 0.85, 1.0))
+            picks.append(cfg.id)
+            if cfg.id == 2:  # pruned after its third probe
+                cfg.active = False
+                ids.remove(2)
+        assert picks == [1, 2, 3, 1, 3]
+
+    def test_no_active_configuration(self):
+        with pytest.raises(ValueError):
+            round_robin_pick(round_robin([make_config(1, 0.9)], ids=[]))
 
 
 def test_pick_next_dispatch():
     configs = [make_config(1, 0.9), make_config(2, 0.95)]
-    grads = {i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)}
-    assert pick_next(SchedulerKind.UCB, configs, grads, 1) == 2
-    assert pick_next(SchedulerKind.ROUND_ROBIN, configs, grads, 1) == 1
-    assert pick_next(SchedulerKind.GRADIENT_CI, configs[::-1], grads, 1) in (1, 2)
-    assert pick_next(SchedulerKind.UCB, [configs[0]], {}, 1) == 1
+    order = ranked(configs)
+    grads = gradient_sum({i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)})
+    assert pick_next(SchedulerKind.UCB, order, grads, 1) == 2
+    sweep = round_robin(configs)
+    assert pick_next(SchedulerKind.ROUND_ROBIN, order, grads, 1, sweep=sweep) == 1
+    with pytest.raises(ValueError):
+        pick_next(SchedulerKind.ROUND_ROBIN, order, grads, 1)
+    assert pick_next(SchedulerKind.GRADIENT_CI, order, grads, 1) in (1, 2)
+    assert pick_next(SchedulerKind.UCB, [configs[0]], GradientSum(), 1) == 1
     # Gradient-CI skips a saturated incumbent.
     kind = SchedulerKind.GRADIENT_CI
-    assert pick_next(kind, configs[::-1], grads, 2, incumbent_saturated=True) == 1
-    assert pick_next(kind, configs[::-1], grads, 1, incumbent_saturated=True) == 2
+    assert pick_next(kind, order, grads, 2, incumbent_saturated=True) == 1
+    assert pick_next(kind, order, grads, 1, incumbent_saturated=True) == 2
 
 
 def test_reported_cost_ratio_versus_brute_force_schedule():
