@@ -65,13 +65,21 @@ def _list(value, what: str, kinds: tuple[type, ...] = ()) -> list:
 
 
 def _number(conf: dict, key: str, default, where: str, kind: type = float):
-    """``conf[key]``, or ``default`` when absent, converted by ``kind``;
-    ``conf`` is the config section named ``where``."""
+    """``conf[key]``, or ``default`` when absent, as a ``kind`` (``float`` or
+    ``int``); ``conf`` is the config section named ``where``. The value must
+    be a JSON number, not a bool or a string, and for ``int`` an integral
+    one: nothing is truncated."""
     value = conf.get(key, default)
+    if kind is int:
+        integral = type(value) is int or (type(value) is float and value.is_integer())
+        if not integral:
+            raise ConfigError(f"key {key!r} in {where} must be an integer, got {value!r}")
+    elif type(value) not in (int, float):
+        raise ConfigError(f"key {key!r} in {where} must be a number, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r} in {where} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"key {key!r} in {where} is out of range, got {value!r}") from exc
 
 
 def _load_json(path: str | Path, what: str) -> dict:
@@ -170,13 +178,13 @@ def _resolve_seed(conf_params: dict) -> int:
     default); either must be an integer in [0, 2**64)."""
     env = os.environ.get("ABC_SEED")
     if env is None:
-        where, value = "key 'seed' in params", conf_params.get("seed", 0)
+        where, seed = "key 'seed' in params", _number(conf_params, "seed", 0, "params", int)
     else:
-        where, value = "ABC_SEED", env
-    try:
-        seed = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be an integer, got {value!r}") from exc
+        where = "ABC_SEED"
+        try:
+            seed = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"{where} must be an integer, got {env!r}") from exc
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{where} must be in [0, 2**64), got {seed}")
     return seed
@@ -341,6 +349,9 @@ def _parse_experiment(conf: dict, base_dir: Path) -> tuple[ExperimentSpec, Path]
     def spec_list(key: str, kinds: tuple[type, ...] = ()) -> tuple:
         return tuple(_list(conf.get(key, []), f"key {key!r} in experiment spec", kinds))
 
+    def spec_number(key: str, default, kind: type = float):
+        return _number(conf, key, default, "experiment spec", kind)
+
     sources = []
     for i, inst in enumerate(spec_list("instances")):
         source = _parse_source(inst, base_dir, f"instances[{i}]", {"name"})
@@ -351,14 +362,14 @@ def _parse_experiment(conf: dict, base_dir: Path) -> tuple[ExperimentSpec, Path]
             methods=spec_list("methods"),
             epsilon_grid=spec_list("epsilon_grid", (int, float)),
             n_configs_grid=spec_list("n_configs_grid", (int,)),
-            repetitions=int(conf.get("repetitions", 100)),
-            base_seed=int(conf.get("base_seed", 0)),
+            repetitions=spec_number("repetitions", 100, int),
+            base_seed=spec_number("base_seed", 0, int),
             budget_grid=spec_list("budget_grid", (int, float)),
-            delta=float(conf.get("delta", 0.5)),
-            initial_train_size=int(conf.get("initial_train_size", 1000)),
-            initial_test_size=int(conf.get("initial_test_size", 2000)),
-            step_factor_c=float(conf.get("step_factor_c", 2.0)),
-            alpha_cost_exponent=float(conf.get("alpha_cost_exponent", 1.0)),
+            delta=spec_number("delta", 0.5),
+            initial_train_size=spec_number("initial_train_size", 1000, int),
+            initial_test_size=spec_number("initial_test_size", 2000, int),
+            step_factor_c=spec_number("step_factor_c", 2.0),
+            alpha_cost_exponent=spec_number("alpha_cost_exponent", 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid experiment spec: {exc}") from exc

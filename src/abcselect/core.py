@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "BackendError",
+    "BudgetReadout",
     "ConfidenceInterval",
     "ConfigurationState",
     "FULL_INTERVAL",
@@ -259,6 +260,21 @@ class TraceRound:
         )
 
 
+@dataclass(frozen=True)
+class BudgetReadout:
+    """What a run stopped at ``budget`` returns: its selection (the anytime
+    best guess, configuration 1 before any round), rounds, model cost and
+    prunes. ``flag`` is the budget-stop message, ``None`` when the run ended
+    before reaching the budget (the values are then the full run's)."""
+
+    budget: float
+    selected: int
+    rounds: int
+    wall_cost_total: float
+    pruned_total: int
+    flag: str | None
+
+
 @dataclass
 class RunTrace:
     """Append-only record of every round, for audit, metrics and anytime output.
@@ -267,6 +283,9 @@ class RunTrace:
     disjointness, budget stops). ``params``
     and ``true_accuracies`` are attached by the engine when available; they
     travel in the report JSON, not in the JSONL round stream.
+    ``budget_readouts`` holds one :class:`BudgetReadout` per budget the run
+    was given, ascending, so that one run answers a whole budget grid; they
+    are in neither the JSONL stream nor ``flags``.
     """
 
     rounds: list[TraceRound] = field(default_factory=list)
@@ -275,6 +294,7 @@ class RunTrace:
     params: RunParams | None = None
     true_accuracies: dict[int, float] | None = None
     flags: list[str] = field(default_factory=list)
+    budget_readouts: list[BudgetReadout] = field(default_factory=list)
     _pruned_seen: set[int] = field(default_factory=set, repr=False)
 
     def append(self, row: TraceRound) -> None:

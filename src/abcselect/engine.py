@@ -35,7 +35,13 @@ continues them. Pruning walks in from the low-upper end of the ranked order
 (``upper - incumbent_lower`` is monotone in ``upper`` under float
 subtraction), and snapshots are lazy (see :class:`ActiveSet`).
 
-Also provides the anytime best-guess output and budget-limited runs.
+Budgets are readouts of one run. The loop takes an ascending tuple of cost
+budgets and makes one budget check per round: it records, for the smallest
+budget not yet read out, what a run limited to it returns (a
+:class:`~abcselect.core.BudgetReadout`) at the round where that run would
+stop, and carries on. So one unbudgeted run answers a whole budget grid;
+:func:`select_with_budget` is the one-budget case that stops there. Also
+provides the anytime best-guess output.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from typing import Sequence
 from .ci_estimator import clamp_to_cached, lower_bound, upper_bound
 from .core import (
     BackendError,
+    BudgetReadout,
     ConfidenceInterval,
     ConfigurationState,
     ProbeOutcome,
@@ -94,7 +101,6 @@ class EngineState:
     incumbent_lower: float = 0.0
     round_index: int = 0
     trace: RunTrace = field(default_factory=RunTrace)
-    budget_stopped: bool = False
 
     def by_id(self, config_id: int) -> ConfigurationState:
         return self.configs[config_id - 1]
@@ -286,9 +292,21 @@ def _run(
     backend: ProbeBackend,
     params: RunParams,
     scheduler: SchedulerKind,
-    budget: float | None,
+    budgets: tuple[float, ...] = (),
+    stop_at_budget: bool = False,
 ) -> EngineState:
+    """The selection loop, with a readout for each of the ascending
+    ``budgets`` in ``state.trace.budget_readouts``.
+
+    A budget is read out before the first probe whose estimated cost would
+    take the spent total past it, or, for a probe the backend cannot
+    estimate, after the round whose cost reaches it. A budget the run never
+    reaches is read out at the end. With ``stop_at_budget`` the loop stops
+    at the first readout and appends its flag to the trace.
+    """
     _validate_setup(configs, backend, params)
+    if not all(b > 0.0 for b in budgets):
+        raise ValueError(f"budgets must be > 0, got {list(budgets)}")
     active = ActiveSet(configs)
     state = EngineState(
         configs=list(configs), params=params, active=active, incumbent_id=configs[0].id
@@ -302,6 +320,8 @@ def _run(
         rr_sweep = sweeps(state.configs, active.ids, itertools.count(2))
     grads = GradientSum()
     track_grads = scheduler is SchedulerKind.GRADIENT_CI
+    pending = sorted(budgets, reverse=True)  # the next budget to read out is last
+    readouts = state.trace.budget_readouts
 
     while len(active) > 1:
         cfg = next(warmup, None)
@@ -314,15 +334,19 @@ def _run(
             )
         s_tr, s_te = _next_probe_sizes(cfg, params)
 
-        if budget is not None:
+        if pending:
+            spent = state.trace.wall_cost_total
             est = backend.estimate_cost(cfg.id, s_tr, s_te)
-            if est is not None and state.trace.wall_cost_total + est > budget:
-                state.budget_stopped = True
-                state.trace.flags.append(
+            while est is not None and pending and spent + est > pending[-1]:
+                budget = pending.pop()
+                _read_out(
+                    state,
+                    budget,
                     f"budget stop before round {state.round_index + 1}: "
-                    f"spent {state.trace.wall_cost_total:g} + estimated {est:g} "
-                    f"> budget {budget:g}"
+                    f"spent {spent:g} + estimated {est:g} > budget {budget:g}",
                 )
+            if stop_at_budget and readouts:
+                state.trace.flags.append(readouts[0].flag)
                 break
 
         try:
@@ -373,15 +397,23 @@ def _run(
             )
         )
 
-        if budget is not None and est is None and state.trace.wall_cost_total >= budget:
-            state.budget_stopped = True
-            state.trace.flags.append(
-                f"budget stop after round {state.round_index}: spent "
-                f"{state.trace.wall_cost_total:g} >= budget {budget:g} "
-                "(no cost estimate available)"
-            )
-            break
+        # ``est`` is this round's: ``pending`` only shrinks.
+        if pending and est is None:
+            spent = state.trace.wall_cost_total
+            while pending and spent >= pending[-1]:
+                budget = pending.pop()
+                _read_out(
+                    state,
+                    budget,
+                    f"budget stop after round {state.round_index}: spent "
+                    f"{spent:g} >= budget {budget:g} (no cost estimate available)",
+                )
+            if stop_at_budget and readouts:
+                state.trace.flags.append(readouts[0].flag)
+                break
 
+    while pending:
+        _read_out(state, pending.pop(), None)
     active.flush()
     state.trace.final_selection = state.incumbent_id
     truths = {
@@ -394,14 +426,37 @@ def _run(
     return state
 
 
+def _read_out(state: EngineState, budget: float, flag: str | None) -> None:
+    """Record what a run stopped at ``budget`` returns, as the run stands."""
+    trace = state.trace
+    trace.budget_readouts.append(
+        BudgetReadout(
+            budget=budget,
+            selected=anytime_best_guess(state),
+            rounds=trace.n_rounds,
+            wall_cost_total=trace.wall_cost_total,
+            pruned_total=trace.pruned_total,
+            flag=flag,
+        )
+    )
+
+
 def run_abc(
     configs: Sequence[ConfigurationState],
     backend: ProbeBackend,
     params: RunParams,
     scheduler: SchedulerKind = SchedulerKind.GRADIENT_CI,
+    budgets: Sequence[float] = (),
 ) -> tuple[int, RunTrace]:
-    """Run the full selection loop; returns (selected id, trace)."""
-    state = _run(configs, backend, params, scheduler, budget=None)
+    """Run the full selection loop; returns (selected id, trace).
+
+    ``trace.budget_readouts`` gets one readout per budget in ``budgets``, in
+    ascending order: what :func:`select_with_budget` with that budget
+    returns (selection, rounds, cost, prunes and budget-stop flag), read off
+    this run where that one would stop. The run itself, its trace rows and
+    its flags are the same as without budgets.
+    """
+    state = _run(configs, backend, params, scheduler, tuple(sorted(budgets)))
     return state.incumbent_id, state.trace
 
 
@@ -434,25 +489,21 @@ def select_with_budget(
 ) -> tuple[int, RunTrace]:
     """Run the loop but stop before the probe that would exceed the budget.
 
-    On a budget stop the anytime best guess is returned; if the run
-    terminated naturally first, the result matches :func:`run_abc`. A budget
-    below the first probe's cost yields configuration 1 with an empty trace
-    and a warning flag.
+    This is the one-budget case of :func:`run_abc`'s readouts that stops at
+    its readout: on a budget stop the anytime best guess is returned; if the
+    run terminated naturally first, the result matches :func:`run_abc`. A
+    budget below the first probe's cost yields configuration 1 with an empty
+    trace and a warning flag. An experiment reads its budget cells off one
+    unbudgeted run instead of calling this once per budget.
     """
-    if cost_budget <= 0.0:
-        raise ValueError(f"cost_budget must be > 0, got {cost_budget}")
-    state = _run(configs, backend, params, scheduler, budget=cost_budget)
-    if not state.budget_stopped:
-        return state.incumbent_id, state.trace
-    if not state.trace.rounds:
+    state = _run(configs, backend, params, scheduler, (cost_budget,), stop_at_budget=True)
+    (readout,) = state.trace.budget_readouts
+    if readout.flag is not None and not readout.rounds:
         state.trace.flags.append(
             "budget below the first probe cost; returning configuration 1 unprobed"
         )
-        state.trace.final_selection = state.configs[0].id
-        return state.configs[0].id, state.trace
-    guess = anytime_best_guess(state)
-    state.trace.final_selection = guess
-    return guess, state.trace
+    state.trace.final_selection = readout.selected
+    return readout.selected, state.trace
 
 
 @dataclass(frozen=True)

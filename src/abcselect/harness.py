@@ -7,6 +7,13 @@ a structural replay audit (interval replay, nesting, prune condition,
 incumbent monotonicity, snapshot accounting) and a containment audit
 against simulator ground truth.
 
+An abc method's budget cells share the seed of its unbudgeted cell, so one
+unbudgeted ``run_abc`` per (method, instance, n, epsilon, repetition) group
+serves them all: each budget row is that run's readout at the budget (see
+:class:`~abcselect.core.BudgetReadout`), the row a run stopped there would
+give. A group fails as a whole: if its run raises, each of its cells gets
+its own failure record.
+
 Also ships the synthetic instance families used by the benchmark suites.
 """
 
@@ -32,7 +39,7 @@ from .core import (
     TraceRound,
     initial_states,
 )
-from .engine import ActiveSet, run_abc, select_with_budget, update_interval
+from .engine import ActiveSet, run_abc, update_interval
 from .probes import (
     CurveSpec,
     LearnerBackend,
@@ -172,7 +179,7 @@ class ExperimentSpec:
                         f"configurations; n_configs_grid asks for {n}"
                     )
         for b in self.budget_grid:
-            if b <= 0:
+            if not b > 0:
                 raise ValueError("budgets must be > 0")
 
 
@@ -246,13 +253,17 @@ def _full_table(backend: ProbeBackend) -> tuple[int, dict[int, float], dict[int,
 
 @dataclass(frozen=True)
 class _Cell:
+    """One (method, instance, n, epsilon, repetition) group: the unbudgeted
+    cell and one cell per budget in ``budgets`` (abc methods only), all
+    answered by one run."""
+
     source: InstanceSource
     method: str
     n: int
     epsilon: float
     rep: int
     seed: int
-    budget: float | None
+    budgets: tuple[float, ...]
     delta: float
     initial_train_size: int
     initial_test_size: int
@@ -261,15 +272,20 @@ class _Cell:
     full_accs: tuple[tuple[int, float], ...]
     full_costs: tuple[tuple[int, float], ...]
 
-    @property
-    def instance_label(self) -> str:
+    def instance_label(self, budget: float | None = None) -> str:
         label = f"{self.source.name}#n={self.n}"
-        if self.budget is not None:
-            label += f"@b={self.budget:g}"
+        if budget is not None:
+            label += f"@b={budget:g}"
         return label
 
+    @property
+    def instance_labels(self) -> list[str]:
+        """The group's cells: the unbudgeted one first."""
+        return [self.instance_label(b) for b in (None, *self.budgets)]
 
-def _run_cell(cell: _Cell) -> MetricsRow:
+
+def _run_cell(cell: _Cell) -> list[MetricsRow]:
+    """The group's rows: the unbudgeted cell's, then one per budget."""
     backend = make_backend(cell.source, cell.n, cell.seed)
     params = RunParams(
         epsilon=cell.epsilon,
@@ -289,51 +305,51 @@ def _run_cell(cell: _Cell) -> MetricsRow:
     acc_best = max(full_accs.values())
     ids = list(range(1, cell.n + 1))
 
+    def row(
+        budget: float | None, selected: int, cost_i: float, rounds: int, prunes: int,
+        cost_ii: float | None = None,
+    ) -> MetricsRow:
+        acc_selected = full_accs[selected]
+        if cost_ii is None:
+            cost_ii = cost_i + full_costs[selected]
+        return MetricsRow(
+            method=cell.method,
+            instance=cell.instance_label(budget),
+            seed=cell.seed,
+            epsilon=cell.epsilon,
+            selected=selected,
+            acc_selected=acc_selected,
+            acc_best=acc_best,
+            loss=acc_best - acc_selected,
+            delta_rel=relative_accuracy_loss(acc_best, acc_selected),
+            cost_i=cost_i,
+            cost_ii=cost_ii,
+            speedup_i=fullrun_cost / cost_i if cost_i > 0 else math.inf,
+            speedup_ii=fullrun_cost / cost_ii if cost_ii > 0 else math.inf,
+            rounds=rounds,
+            prunes=prunes,
+        )
+
     if cell.method == "full_run":
         selected, _, cost = full_run(ids, backend)
-        cost_i = cost_ii = cost
-        rounds, prunes = cell.n, 0
-    elif cell.method == "successive_halving":
+        return [row(None, selected, cost, cell.n, 0, cost_ii=cost)]
+    if cell.method == "successive_halving":
         hp = HalvingParams(
             initial_train_size=params.initial_train_size,
             initial_test_size=params.initial_test_size,
             growth_factor=params.step_factor_c,
         )
         selected, trace = successive_halving(ids, backend, hp)
-        cost_i = trace.wall_cost_total
-        cost_ii = cost_i + full_costs[selected]
-        rounds, prunes = trace.n_rounds, trace.pruned_total
     else:
-        kind = ABC_METHODS[cell.method]
         states = initial_states(list(backend.labels), params)
-        if cell.budget is not None:
-            selected, trace = select_with_budget(
-                states, backend, params, kind, cell.budget
-            )
-        else:
-            selected, trace = run_abc(states, backend, params, kind)
-        cost_i = trace.wall_cost_total
-        cost_ii = cost_i + full_costs[selected]
-        rounds, prunes = trace.n_rounds, trace.pruned_total
-
-    acc_selected = full_accs[selected]
-    return MetricsRow(
-        method=cell.method,
-        instance=cell.instance_label,
-        seed=cell.seed,
-        epsilon=cell.epsilon,
-        selected=selected,
-        acc_selected=acc_selected,
-        acc_best=acc_best,
-        loss=acc_best - acc_selected,
-        delta_rel=relative_accuracy_loss(acc_best, acc_selected),
-        cost_i=cost_i,
-        cost_ii=cost_ii,
-        speedup_i=fullrun_cost / cost_i if cost_i > 0 else math.inf,
-        speedup_ii=fullrun_cost / cost_ii if cost_ii > 0 else math.inf,
-        rounds=rounds,
-        prunes=prunes,
-    )
+        kind = ABC_METHODS[cell.method]
+        selected, trace = run_abc(states, backend, params, kind, cell.budgets)
+    rows = [row(None, selected, trace.wall_cost_total, trace.n_rounds, trace.pruned_total)]
+    readouts = {r.budget: r for r in trace.budget_readouts}
+    for budget in cell.budgets:
+        r = readouts[budget]
+        rows.append(row(budget, r.selected, r.wall_cost_total, r.rounds, r.pruned_total))
+    return rows
 
 
 def run_experiment(
@@ -343,8 +359,11 @@ def run_experiment(
 ) -> list[MetricsRow]:
     """Execute every cell; rows come back in canonical order.
 
-    Per-cell failures are logged and recorded in ``errors.jsonl`` under
-    ``out_dir``; the run continues. When ``out_dir`` is given, metrics.csv,
+    One run serves each cell group (see :class:`_Cell`): an abc method's
+    budget rows are the readouts of its unbudgeted run. Failures are logged
+    and recorded in ``errors.jsonl`` under ``out_dir``, one record per cell,
+    so a failing run fails every cell of its group; the experiment
+    continues. When ``out_dir`` is given, metrics.csv,
     metrics.jsonl and aggregates.csv are written there.
     """
     cells: list[_Cell] = []
@@ -360,50 +379,48 @@ def run_experiment(
                 full_cache[key] = (accs, costs)
             accs, costs = full_cache[key]
             for method in spec.methods:
-                budgets: tuple[float | None, ...] = (None,)
-                if spec.budget_grid and method in ABC_METHODS:
-                    budgets = (None,) + spec.budget_grid
-                for budget in budgets:
-                    for epsilon in spec.epsilon_grid:
-                        for rep in range(spec.repetitions):
-                            cells.append(
-                                _Cell(
-                                    source=source,
-                                    method=method,
-                                    n=n,
-                                    epsilon=epsilon,
-                                    rep=rep,
-                                    seed=cell_seed(
-                                        spec.base_seed, method, source.name, n, epsilon, rep
-                                    ),
-                                    budget=budget,
-                                    delta=spec.delta,
-                                    initial_train_size=spec.initial_train_size,
-                                    initial_test_size=spec.initial_test_size,
-                                    step_factor_c=spec.step_factor_c,
-                                    alpha_cost_exponent=spec.alpha_cost_exponent,
-                                    full_accs=tuple(sorted(accs.items())),
-                                    full_costs=tuple(sorted(costs.items())),
-                                )
+                budgets = spec.budget_grid if method in ABC_METHODS else ()
+                for epsilon in spec.epsilon_grid:
+                    for rep in range(spec.repetitions):
+                        cells.append(
+                            _Cell(
+                                source=source,
+                                method=method,
+                                n=n,
+                                epsilon=epsilon,
+                                rep=rep,
+                                seed=cell_seed(
+                                    spec.base_seed, method, source.name, n, epsilon, rep
+                                ),
+                                budgets=budgets,
+                                delta=spec.delta,
+                                initial_train_size=spec.initial_train_size,
+                                initial_test_size=spec.initial_test_size,
+                                step_factor_c=spec.step_factor_c,
+                                alpha_cost_exponent=spec.alpha_cost_exponent,
+                                full_accs=tuple(sorted(accs.items())),
+                                full_costs=tuple(sorted(costs.items())),
                             )
+                        )
 
     rows: list[MetricsRow] = []
     failures: list[dict] = []
 
-    def _record(cell: _Cell, result: MetricsRow | Exception) -> None:
-        if isinstance(result, Exception):
-            logger.error("cell failed (%s on %s): %s", cell.method, cell.instance_label, result)
+    def _record(cell: _Cell, result: list[MetricsRow] | Exception) -> None:
+        if not isinstance(result, Exception):
+            rows.extend(result)
+            return
+        for label in cell.instance_labels:
+            logger.error("cell failed (%s on %s): %s", cell.method, label, result)
             failures.append(
                 {
                     "method": cell.method,
-                    "instance": cell.instance_label,
+                    "instance": label,
                     "seed": cell.seed,
                     "epsilon": cell.epsilon,
                     "error": str(result),
                 }
             )
-        else:
-            rows.append(result)
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -422,7 +439,7 @@ def run_experiment(
     return rows
 
 
-def _run_cell_safe(cell: _Cell) -> MetricsRow | Exception:
+def _run_cell_safe(cell: _Cell) -> list[MetricsRow] | Exception:
     try:
         return _run_cell(cell)
     except Exception as exc:  # noqa: BLE001

@@ -377,3 +377,47 @@ def test_run_bad_csv_source_number_exits_1(tmp_path, capsys, key, value):
     path.write_text(json.dumps(config))
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert f"key '{key}' in backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, key",
+    [
+        ({"initial_train_size": 1500.7}, "initial_train_size"),
+        ({"initial_test_size": True}, "initial_test_size"),
+        ({"seed": 4.9}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"epsilon": True}, "epsilon"),
+        ({"delta": "0.5"}, "delta"),
+        ({"epsilon": 10**400}, "epsilon"),
+    ],
+    ids=["train_size_fraction", "test_size_bool", "seed_fraction", "seed_bool",
+         "epsilon_bool", "delta_string", "epsilon_beyond_float"],
+)
+def test_run_param_not_a_json_number_of_its_kind_exits_1(synthetic_setup, capsys, params, key):
+    tmp_path, _, config = synthetic_setup
+    config["params"].update(params)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert f"key '{key}' in params " in capsys.readouterr().err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("repetitions", [2]), ("repetitions", 2.5), ("base_seed", True), ("base_seed", 1.5),
+     ("delta", "x"), ("initial_train_size", 1000.5), ("step_factor_c", True)],
+    ids=["repetitions_list", "repetitions_fraction", "base_seed_bool", "base_seed_fraction",
+         "delta_string", "train_size_fraction", "step_factor_bool"],
+)
+def test_experiment_bad_number_exits_1(tmp_path, capsys, key, value):
+    spec_path = experiment_spec(tmp_path, **{key: value})
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
+    assert f"key '{key}' in experiment spec must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_integral_float_is_an_integer(tmp_path):
+    spec_path = experiment_spec(tmp_path, repetitions=2.0, base_seed=3.0)
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_OK
+    assert len((tmp_path / "out" / "metrics.jsonl").read_text().splitlines()) == 2

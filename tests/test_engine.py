@@ -1,6 +1,10 @@
+import hashlib
+import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from abcselect.baselines import full_run
 from abcselect.core import (
@@ -20,7 +24,13 @@ from abcselect.engine import (
     select_with_budget,
     verify_selection,
 )
-from abcselect.harness import make_plateau_instance, make_two_config_instance, structural_audit
+from abcselect.harness import (
+    make_expensive_decoy_instance,
+    make_plateau_instance,
+    make_sweep_instance,
+    make_two_config_instance,
+    structural_audit,
+)
 from abcselect.scheduler import SchedulerKind
 
 from conftest import fresh_run_inputs
@@ -252,6 +262,144 @@ class TestSelectWithBudget:
         states, backend, params = fresh_run_inputs(inst, seed=2)
         with pytest.raises(ValueError):
             select_with_budget(states, backend, params, SchedulerKind.UCB, 0.0)
+
+
+class NoEstimateBackend:
+    """A backend whose probe costs are known only after the probe, as with
+    measured wall time: ``estimate_cost`` returns None."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def estimate_cost(self, config_id, s_tr, s_te):
+        return None
+
+
+READOUT_FAMILIES = {
+    "plateau": lambda seed: make_plateau_instance(seed),
+    "sweep": lambda seed: make_sweep_instance(seed, n=6),
+    "decoy": lambda seed: make_expensive_decoy_instance(seed),
+    "two_config": lambda seed: make_two_config_instance(),
+}
+
+
+def budget_flag(trace):
+    flags = [f for f in trace.flags if f.startswith("budget stop")]
+    assert len(flags) <= 1
+    return flags[0] if flags else None
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    family=st.sampled_from(sorted(READOUT_FAMILIES)),
+    seed=st.integers(0, 20),
+    scheduler=st.sampled_from(list(SchedulerKind)),
+    estimates=st.booleans(),
+    budgets=st.lists(
+        st.one_of(st.floats(1.0, 1e10), st.sampled_from((1e3, 2e5, 2e6, math.inf))),
+        max_size=5,
+    ).map(sorted),
+)
+def test_budget_readouts_match_select_with_budget(family, seed, scheduler, estimates, budgets):
+    instance = READOUT_FAMILIES[family](seed)
+
+    def inputs():
+        states, backend, params = fresh_run_inputs(instance, seed=100 + seed)
+        return states, (backend if estimates else NoEstimateBackend(backend)), params
+
+    plain_selected, plain = run_abc(*inputs(), scheduler)
+    selected, trace = run_abc(*inputs(), scheduler, budgets)
+    assert selected == plain_selected
+    assert trace.to_jsonl() == plain.to_jsonl()
+    assert trace.flags == plain.flags
+    assert plain.budget_readouts == []
+    assert [r.budget for r in trace.budget_readouts] == budgets
+
+    for readout in trace.budget_readouts:
+        expected_selected, expected = select_with_budget(*inputs(), scheduler, readout.budget)
+        assert (
+            readout.selected,
+            readout.rounds,
+            readout.wall_cost_total,
+            readout.pruned_total,
+            readout.flag,
+        ) == (
+            expected_selected,
+            expected.n_rounds,
+            expected.wall_cost_total,
+            expected.pruned_total,
+            budget_flag(expected),
+        )
+        assert expected.to_jsonl() == "".join(
+            plain.to_jsonl().splitlines(keepends=True)[: readout.rounds]
+        )
+        if readout.flag is None:
+            assert (readout.selected, readout.rounds) == (plain_selected, plain.n_rounds)
+        elif estimates:
+            assert readout.flag.startswith("budget stop before round")
+        else:
+            assert readout.flag.startswith("budget stop after round")
+            assert readout.wall_cost_total >= readout.budget
+
+
+# What ``select_with_budget`` returns over fixed cases, budgets on both sides
+# of probe costs (the first probe of a kappa = 1 curve costs exactly 1000),
+# with and without cost estimates: the SHA-256 of (selection, rounds, cost,
+# prunes, flags, JSONL trace) per case. Recorded on the engine that ran one
+# loop per budget, before budgets became readouts of one run.
+GOLDEN_BUDGET_RUNS = "5d5dee0aaf72004f793b8ee63bbe6c01fdb65012a0fc6f64b778fe2e280ceb6d"
+
+
+def budget_runs_digest():
+    cases = []
+    for family in sorted(READOUT_FAMILIES):
+        instance = READOUT_FAMILIES[family](3)
+        for kind in SchedulerKind:
+            for estimates in (True, False):
+                for budget in (10.0, 1000.0, 3000.0, 2e5, 2e6, math.inf):
+                    states, backend, params = fresh_run_inputs(instance, seed=7)
+                    if not estimates:
+                        backend = NoEstimateBackend(backend)
+                    selected, trace = select_with_budget(states, backend, params, kind, budget)
+                    cases.append([
+                        selected, trace.n_rounds, trace.wall_cost_total,
+                        trace.pruned_total, trace.flags, trace.to_jsonl(),
+                    ])
+    return hashlib.sha256(json.dumps(cases).encode()).hexdigest()
+
+
+def test_select_with_budget_matches_golden():
+    assert budget_runs_digest() == GOLDEN_BUDGET_RUNS
+
+
+def test_readout_after_the_round_that_reaches_the_budget():
+    # Unit cost per training row and no estimates: each round is read out
+    # after its probe, once the spent total reaches the budget.
+    backend = StubBackend([0.9, 0.7, 0.6], max_train=4000, max_test=4000)
+    params = RunParams(0.001, 0.5, 3, 1000, 1000, 2.0, 1.0, 4000, 4000, 0)
+    budgets = (1000.0, 1500.0, 2000.0)
+    _, trace = run_abc(
+        initial_states(list(backend.labels), params), NoEstimateBackend(backend), params,
+        SchedulerKind.ROUND_ROBIN, budgets,
+    )
+    assert [(r.rounds, r.wall_cost_total) for r in trace.budget_readouts] == [
+        (1, 1000.0), (2, 2000.0), (2, 2000.0)
+    ]
+    assert trace.budget_readouts[0].flag == (
+        "budget stop after round 1: spent 1000 >= budget 1000 (no cost estimate available)"
+    )
+
+
+def test_readouts_reject_nonpositive_budgets():
+    inst = make_two_config_instance()
+    states, backend, params = fresh_run_inputs(inst, seed=2)
+    with pytest.raises(ValueError):
+        run_abc(states, backend, params, SchedulerKind.UCB, (5000.0, 0.0))
+    with pytest.raises(ValueError):
+        run_abc(states, backend, params, SchedulerKind.UCB, (math.nan,))
 
 
 class TestFinalEvaluation:

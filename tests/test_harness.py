@@ -8,14 +8,19 @@ from dataclasses import replace
 
 import pytest
 
-from abcselect.core import ConfidenceInterval, RunTrace, TraceRound
-from abcselect.engine import run_abc
+from abcselect import harness
+from abcselect.baselines import relative_accuracy_loss
+from abcselect.core import ConfidenceInterval, RunParams, RunTrace, TraceRound, initial_states
+from abcselect.engine import run_abc, select_with_budget
 from abcselect.harness import (
+    ABC_METHODS,
     ExperimentSpec,
     InstanceSource,
     METRICS_HEADER,
+    MetricsRow,
     cell_seed,
     containment_audit,
+    make_expensive_decoy_instance,
     make_monte_carlo_instance,
     make_plateau_instance,
     make_skewed_cost_instance,
@@ -123,6 +128,132 @@ class TestRunExperiment:
         lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
         assert len(lines) == 2 and json.loads(lines[0])["method"]
         assert (tmp_path / "aggregates.csv").exists()
+
+
+def budget_cell_rows(spec):
+    """Each budget cell's row as one ``select_with_budget`` call per cell
+    gives it: the reference for the rows read off one run per group."""
+    rows = []
+    for source in spec.sources:
+        for n in spec.n_configs_grid:
+            _, accs, costs = harness._full_table(harness.make_backend(source, n, spec.base_seed))
+            fullrun_cost, acc_best = sum(costs.values()), max(accs.values())
+            for method in spec.methods:
+                for budget in spec.budget_grid if method in ABC_METHODS else ():
+                    for epsilon in spec.epsilon_grid:
+                        for rep in range(spec.repetitions):
+                            seed = cell_seed(spec.base_seed, method, source.name, n, epsilon, rep)
+                            backend = harness.make_backend(source, n, seed)
+                            params = RunParams(
+                                epsilon, spec.delta, n, spec.initial_train_size,
+                                spec.initial_test_size, spec.step_factor_c,
+                                spec.alpha_cost_exponent, backend.max_train_size,
+                                backend.max_test_size, seed,
+                            )
+                            states = initial_states(list(backend.labels), params)
+                            selected, trace = select_with_budget(
+                                states, backend, params, ABC_METHODS[method], budget
+                            )
+                            cost_i = trace.wall_cost_total
+                            cost_ii = cost_i + costs[selected]
+                            rows.append(MetricsRow(
+                                method=method, instance=f"{source.name}#n={n}@b={budget:g}",
+                                seed=seed, epsilon=epsilon, selected=selected,
+                                acc_selected=accs[selected], acc_best=acc_best,
+                                loss=acc_best - accs[selected],
+                                delta_rel=relative_accuracy_loss(acc_best, accs[selected]),
+                                cost_i=cost_i, cost_ii=cost_ii,
+                                speedup_i=fullrun_cost / cost_i if cost_i > 0 else math.inf,
+                                speedup_ii=fullrun_cost / cost_ii if cost_ii > 0 else math.inf,
+                                rounds=trace.n_rounds, prunes=trace.pruned_total,
+                            ))
+    return sorted(rows, key=lambda r: (r.method, r.instance, r.epsilon, r.seed))
+
+
+# Below the first probe's cost, the benchmark grid's two budgets, and above
+# the cost of any full run of these families.
+GRID_BUDGETS = (10.0, 2e5, 2e6, 1e15)
+
+
+def grid_spec(budget_grid=GRID_BUDGETS):
+    return ExperimentSpec(
+        sources=(
+            InstanceSource("plateau", synthetic=make_plateau_instance(1, n_fillers=18)),
+            InstanceSource("decoy", synthetic=make_expensive_decoy_instance(1, n_fillers=18)),
+            InstanceSource("skewed", synthetic=make_skewed_cost_instance(1, n=20)),
+            InstanceSource("sweep", synthetic=make_sweep_instance(1, n=20)),
+        ),
+        methods=tuple(ABC_METHODS),
+        epsilon_grid=(0.01, 0.05),
+        n_configs_grid=(4, 20),
+        repetitions=2,
+        base_seed=1,
+        budget_grid=budget_grid,
+    )
+
+
+class TestBudgetGrid:
+    def test_budget_rows_equal_one_budgeted_run_per_cell(self):
+        spec = grid_spec()
+        rows = run_experiment(spec)
+        budget_rows = [r for r in rows if "@b=" in r.instance]
+        assert budget_rows == budget_cell_rows(spec)
+        assert len(rows) == len(budget_rows) * 5 // 4
+        plain = {(r.method, r.instance, r.epsilon, r.seed): r for r in rows if "@b=" not in r.instance}
+        below = [r for r in budget_rows if r.instance.endswith("@b=10")]
+        above = [r for r in budget_rows if r.instance.endswith("@b=1e+15")]
+        assert all((r.selected, r.rounds, r.cost_i) == (1, 0, 0.0) for r in below)
+        for r in above:
+            full = plain[(r.method, r.instance.split("@")[0], r.epsilon, r.seed)]
+            assert (r.selected, r.rounds, r.cost_i, r.prunes) == (
+                full.selected, full.rounds, full.cost_i, full.prunes
+            )
+
+    def test_parallel_matches_serial(self):
+        spec = grid_spec()
+        assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
+
+    def test_budgets_in_any_order_and_repeated(self):
+        rows = run_experiment(grid_spec(GRID_BUDGETS))
+        shuffled = run_experiment(grid_spec((2e6, 10.0, 1e15, 2e5, 2e6)))
+        repeated = [r for r in shuffled if r.instance.endswith("@b=2e+06")]
+        assert sorted(set(map(repr, shuffled))) == sorted(map(repr, rows))
+        assert len(repeated) == 2 * sum(r.instance.endswith("@b=2e+06") for r in rows)
+
+
+class FailAtProbe:
+    """Wraps a backend so that its ``k``-th probe raises."""
+
+    def __init__(self, backend, k):
+        self._backend = backend
+        self._k = k
+        self._probes = 0
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def probe(self, config_id, s_tr, s_te):
+        self._probes += 1
+        if self._probes == self._k:
+            raise RuntimeError("disk on fire")
+        return self._backend.probe(config_id, s_tr, s_te)
+
+
+def test_failing_run_fails_every_cell_of_its_group(tmp_path, monkeypatch):
+    make_backend = harness.make_backend
+    monkeypatch.setattr(
+        harness, "make_backend", lambda source, n, seed: FailAtProbe(make_backend(source, n, seed), 2)
+    )
+    # The 10.0 budget stops before the first probe, so a run limited to it
+    # alone would not fail; it fails with its group.
+    spec = small_spec(["abc_ucb"], budget_grid=(5000.0, 10.0))
+    assert run_experiment(spec, out_dir=tmp_path) == []
+    records = [json.loads(line) for line in (tmp_path / "errors.jsonl").read_text().splitlines()]
+    assert [(r["method"], r["instance"]) for r in records] == [
+        ("abc_ucb", "two#n=2"), ("abc_ucb", "two#n=2@b=5000"), ("abc_ucb", "two#n=2@b=10"),
+    ]
+    assert all("round 2" in r["error"] for r in records)
+    assert len({r["seed"] for r in records}) == 1
 
 
 class TestContainmentAudit:
