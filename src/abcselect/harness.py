@@ -181,6 +181,22 @@ class ExperimentSpec:
         for b in self.budget_grid:
             if not b > 0:
                 raise ValueError("budgets must be > 0")
+        # The ranges RunParams enforces for every cell, checked once here so
+        # that a bad value fails the spec rather than each of its cells.
+        for eps in self.epsilon_grid:
+            if not 0.0 <= eps <= 1.0:
+                raise ValueError(f"epsilon_grid values must be in [0, 1], got {eps}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        for key in ("initial_train_size", "initial_test_size"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.step_factor_c > 1.0:
+            raise ValueError(f"step_factor_c must be > 1, got {self.step_factor_c}")
+        if not self.alpha_cost_exponent > 0.0:
+            raise ValueError(
+                f"alpha_cost_exponent must be > 0, got {self.alpha_cost_exponent}"
+            )
 
 
 @dataclass(frozen=True)

@@ -417,6 +417,22 @@ def test_experiment_bad_number_exits_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("delta", 1.5), ("delta", 0), ("epsilon_grid", [0.01, 1.5]), ("epsilon_grid", [-0.1]),
+     ("initial_train_size", 0), ("initial_test_size", -3), ("step_factor_c", 1.0),
+     ("alpha_cost_exponent", 0)],
+)
+def test_experiment_run_param_out_of_range_exits_1(tmp_path, capsys, key, value):
+    # Every cell's RunParams would reject the value; the spec must, before
+    # any cell runs or the output directory exists.
+    spec_path = experiment_spec(tmp_path, **{key: value})
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "invalid experiment spec" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_experiment_integral_float_is_an_integer(tmp_path):
     spec_path = experiment_spec(tmp_path, repetitions=2.0, base_seed=3.0)
     assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_OK

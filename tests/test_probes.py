@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abcselect import probes
+from abcselect.core import RunParams, initial_states
+from abcselect.engine import run_abc
 from abcselect.probes import (
     CurveSpec,
     DatasetHandle,
@@ -289,7 +291,7 @@ class TestSgdKernel:
     @settings(max_examples=80, deadline=None)
     @given(
         n=st.integers(1, 300),
-        d=st.integers(1, 4),
+        d=st.integers(1, 8),
         batch_size=st.integers(1, 70),
         block_rows=st.integers(1, 64),
         epochs=st.integers(1, 3),
@@ -342,6 +344,80 @@ class TestSgdKernel:
             l2=0.001, batch_size=batch_size,
         )
         assert_sgd_matches_reference(X, y, spec, 5)
+
+    def test_reused_tail_views_across_epochs(self):
+        # One full block and a tail of 77 rows, whose second minibatch has
+        # 13: the views of both are built once and serve all three epochs.
+        rng = np.random.default_rng(77)
+        n = probes._SGD_BLOCK_ROWS + 77
+        X = rng.uniform(0.0, 1.0, size=(n, 5))
+        y = (X @ np.array([1.0, -0.8, 0.6, 0.4, -0.2]) > 0.5).astype(np.int64)
+        spec = LearnerSpec(
+            kind="logistic_regression_sgd", learning_rate=0.3, epochs=3,
+            l2=0.001, batch_size=64,
+        )
+        assert_sgd_matches_reference(X, y, spec, 9)
+
+
+# The acceptance suite's criterion-11 grid: four SGD variants, a stump and
+# the majority class.
+CRITERION_11_LEARNERS = (
+    LearnerSpec(kind="logistic_regression_sgd", learning_rate=0.3, epochs=10, batch_size=64),
+    LearnerSpec(kind="logistic_regression_sgd", learning_rate=0.2, epochs=8, batch_size=64),
+    LearnerSpec(kind="decision_stump"),
+    LearnerSpec(kind="logistic_regression_sgd", learning_rate=0.0005, epochs=100, batch_size=64),
+    LearnerSpec(
+        kind="logistic_regression_sgd", learning_rate=0.0003, epochs=100, l2=0.001,
+        batch_size=64,
+    ),
+    LearnerSpec(kind="majority_class"),
+)
+
+
+def test_learner_trace_matches_reference_kernel(tmp_path):
+    # A whole selection on a CSV learner backend writes the same trace with
+    # the kernel as with the reference loop. Compared in-process, with no
+    # stored digest, for the reason TestSgdKernel gives.
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(6000, 5))
+    y = (X @ np.array([1.0, -0.8, 0.6, 0.4, -0.2]) > 0.0).astype(np.int64)
+    y[rng.random(6000) < 0.3] ^= 1
+    path = tmp_path / "data.csv"
+    np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g")
+    handle = load_csv_dataset(path, holdout=0.3, seed=4)
+    cost_model = [
+        (5e-7 * spec.epochs, 1.0) if spec.kind == "logistic_regression_sgd"
+        else (1e-6 if spec.kind == "decision_stump" else 1e-8, 1.0)
+        for spec in CRITERION_11_LEARNERS
+    ]
+
+    def trace():
+        backend = LearnerBackend(handle, CRITERION_11_LEARNERS, seed=4, cost_model=cost_model)
+        params = RunParams(
+            epsilon=0.01, delta=0.5, n_configs=backend.n_configs, initial_train_size=100,
+            initial_test_size=200, step_factor_c=2.0, alpha_cost_exponent=1.0,
+            max_train_size=backend.max_train_size, max_test_size=backend.max_test_size,
+            seed=4,
+        )
+        states = initial_states(list(backend.labels), params)
+        return run_abc(states, backend, params)[1]
+
+    def reference(X, y, spec, rng):
+        return probes._LinearModel(*reference_logreg_sgd(X, y, spec, rng))
+
+    kernel_trace = trace()
+    with mock.patch.object(probes, "_train_logreg_sgd", reference):
+        reference_trace = trace()
+    # The SGD learners reach a sample of a full block and a tail.
+    sgd_ids = [
+        i + 1 for i, spec in enumerate(CRITERION_11_LEARNERS)
+        if spec.kind == "logistic_regression_sgd"
+    ]
+    assert any(
+        r.config_id in sgd_ids and r.outcome.train_sample_size > probes._SGD_BLOCK_ROWS
+        for r in kernel_trace.rounds
+    )
+    assert kernel_trace.to_jsonl() == reference_trace.to_jsonl()
 
 
 class TestFullEvaluate:

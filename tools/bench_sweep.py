@@ -1,7 +1,7 @@
-"""Scheduler cost sweep, family table and experiment grid, written as a
-BENCH_<pr>.json record.
+"""Scheduler cost sweep, family table, experiment grid and learner probes,
+written as a BENCH_<pr>.json record.
 
-    python3 tools/bench_sweep.py --out BENCH_8.json --parent ../parent --repeats 10
+    python3 tools/bench_sweep.py --out BENCH_9.json --parent ../parent --repeats 10
     python3 tools/bench_sweep.py --quick --out .bench_out/sweep-quick.json
 
 Run from the root of a checkout; the program is imported from ``src/``.
@@ -21,17 +21,24 @@ Each pass, in a fresh process, records:
   benchmark's ``grid_small_n`` (four shipped families with 20
   configurations, all five methods, epsilon 0.01 and 0.05, n = 4 and 20,
   20 repetitions), with and without its budget grid: wall seconds and a
-  SHA-256 over the sorted metrics rows.
+  SHA-256 over the sorted metrics rows;
+* the learner probes: ``LearnerBackend.probe`` for every learner of the
+  acceptance suite's criterion-11 grid at s_tr = 8,000 and 64,000 (test
+  sample twice that, capped at the test part) on a seeded in-memory
+  dataset of 100k rows by 5 features: seconds per learner kind (each
+  probe's median over repeats that fill 0.5 s), µs per SGD minibatch and
+  a SHA-256 over each SGD model's weights and bias.
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
 host. µs per round is the median over repeats; the family table is
 machine-independent and is taken once per side; the experiment's wall
-seconds are kept per pass, so that pass i of the two sides is a pair. The
-record also carries the machine, the number of traces and of experiment
-metrics rows that differ between the sides (rows must not move), and the
-gate: µs per round at the largest n over that at the smallest, per
-scheduler. ``--quick`` runs a tiny version, as a self-test.
+seconds and the learner timings are kept per pass, so that pass i of the
+two sides is a pair. The record also carries the machine, the number of
+traces, experiment metrics rows and SGD weight digests that differ between
+the sides (none may move), and the gate: µs per round at the largest n
+over that at the smallest, per scheduler. ``--quick`` runs a tiny version,
+as a self-test.
 """
 
 from __future__ import annotations
@@ -56,14 +63,21 @@ EPSILON, DELTA = 0.01, 0.5
 # The shape of the benchmark's grid_small_n input: family seed, budgets and
 # repetitions.
 EXPERIMENT_SEED, EXPERIMENT_BUDGETS, EXPERIMENT_REPS = 5, (2.0e5, 2.0e6), 20
+# Train sample sizes of the learner probes: one eighth of the benchmark's
+# learner_csv train part and nearly all of it. The quick sizes still reach
+# past one gathered block of the SGD kernel (4,096 rows).
+LEARNER_SIZES, QUICK_LEARNER_SIZES = (8000, 64000), (500, 5000)
+LEARNER_ROWS, LEARNER_SEED = 100_000, 12345
 
 
 def _worker(
-    src: str, ns: tuple[int, ...], family_runs: int, min_seconds: float, experiment_reps: int
+    src: str, ns: tuple[int, ...], family_runs: int, min_seconds: float, experiment_reps: int,
+    learner_sizes: tuple[int, ...],
 ) -> dict:
     """One pass over the program under ``src``, with up to ``family_runs``
-    runs per family and scheduler and ``experiment_reps`` repetitions per
-    experiment cell (0: no experiment); returns the measurements."""
+    runs per family and scheduler, ``experiment_reps`` repetitions per
+    experiment cell (0: no experiment) and learner probes at
+    ``learner_sizes``; returns the measurements."""
     sys.path.insert(0, src)
     import dataclasses
     import logging
@@ -191,7 +205,79 @@ def _worker(
                     for key, rec in records.items()
                 },
             }
-    return {"sweep": sweep, "families": families, "experiment": experiment}
+    learner = _learner_probes(learner_sizes, min_seconds) if learner_sizes else {}
+    return {"sweep": sweep, "families": families, "experiment": experiment, "learner": learner}
+
+
+# The acceptance suite's criterion-11 grid: four SGD variants, a stump and the
+# majority class.
+LEARNERS = (
+    {"kind": "logistic_regression_sgd", "learning_rate": 0.3, "epochs": 10, "batch_size": 64},
+    {"kind": "logistic_regression_sgd", "learning_rate": 0.2, "epochs": 8, "batch_size": 64},
+    {"kind": "decision_stump"},
+    {"kind": "logistic_regression_sgd", "learning_rate": 0.0005, "epochs": 100, "batch_size": 64},
+    {"kind": "logistic_regression_sgd", "learning_rate": 0.0003, "epochs": 100, "l2": 0.001,
+     "batch_size": 64},
+    {"kind": "majority_class"},
+)
+
+
+def _learner_probes(sizes: tuple[int, ...], min_seconds: float) -> dict:
+    """Time ``LearnerBackend.probe`` per learner and train size: the median
+    of as many probes as fill ``min_seconds``, at least one.
+
+    The SGD models' weights are read by wrapping ``probes._train_logreg_sgd``,
+    which ``probes`` looks up on every fit, so no model is trained twice."""
+    import numpy as np
+
+    from abcselect import probes
+
+    rng = np.random.default_rng(LEARNER_SEED)
+    features = rng.normal(size=(LEARNER_ROWS, 5))
+    labels = (features @ rng.normal(size=5) > 0).astype(int)
+    handle = probes.DatasetHandle(features, labels, holdout=0.3, seed=7)
+    specs = [probes.LearnerSpec.from_dict(d) for d in LEARNERS]
+    backend = probes.LearnerBackend(handle, specs, seed=7)
+
+    models = []
+    train = probes._train_logreg_sgd
+
+    def recording_train(X, y, spec, rng):
+        model = train(X, y, spec, rng)
+        models.append(model)
+        return model
+
+    probes._train_logreg_sgd = recording_train
+    try:
+        for config_id in range(1, len(specs) + 1):  # warm caches before timing
+            backend.probe(config_id, 200, 200)
+        out = {}
+        for s_tr in sizes:
+            s_te = min(2 * s_tr, backend.max_test_size)
+            seconds = dict.fromkeys(sorted({spec.kind for spec in specs}), 0.0)
+            minibatches, digests = 0, {}
+            for config_id, spec in enumerate(specs, start=1):
+                models.clear()
+                runs = []
+                while not runs or sum(runs) < min_seconds:
+                    start = time.perf_counter()
+                    backend.probe(config_id, s_tr, s_te)
+                    runs.append(time.perf_counter() - start)
+                seconds[spec.kind] += statistics.median(runs)
+                if spec.kind == "logistic_regression_sgd":
+                    minibatches += spec.epochs * -(-s_tr // spec.batch_size)
+                    model = models[0]
+                    weights = model.weights.tobytes() + np.float64(model.bias).tobytes()
+                    digests[spec.label] = hashlib.sha256(weights).hexdigest()
+            out[str(s_tr)] = {
+                "seconds_per_kind": seconds,
+                "sgd_minibatches": minibatches,
+                "sgd_us_per_minibatch": seconds["logistic_regression_sgd"] / minibatches * 1e6,
+                "sgd_weights_sha256": digests,
+            }
+    finally:
+        probes._train_logreg_sgd = train
+    return out
 
 
 def _machine() -> dict:
@@ -215,17 +301,19 @@ def _machine() -> dict:
     }
 
 
-def _pass(root: Path, ns, family_runs: int, min_seconds: float, experiment_reps: int) -> dict:
+def _pass(root: Path, ns, family_runs: int, min_seconds: float, experiment_reps: int,
+          learner_sizes) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root / "src"),
            "--ns", ",".join(map(str, ns)), "--family-runs", str(family_runs),
-           "--min-seconds", str(min_seconds), "--experiment-reps", str(experiment_reps)]
+           "--min-seconds", str(min_seconds), "--experiment-reps", str(experiment_reps),
+           "--learner-sizes", ",".join(map(str, learner_sizes))]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
 def _side(passes: list[dict]) -> dict:
-    """Median µs per round and experiment wall seconds over the passes;
-    digests must agree."""
+    """Median µs per round, experiment wall seconds and learner timings over
+    the passes; digests must agree."""
     sweep = {}
     for kind, cells in passes[0]["sweep"].items():
         sweep[kind] = {}
@@ -261,13 +349,30 @@ def _side(passes: list[dict]) -> dict:
             "rows": first["rows"],
             "rows_sha256": first["rows_sha256"],
         }
+    learner = {}
+    for size, first in passes[0]["learner"].items():
+        samples = [p["learner"][size] for p in passes]
+        if any(s["sgd_weights_sha256"] != first["sgd_weights_sha256"] for s in samples):
+            raise SystemExit(f"learner s_tr={size}: SGD weights differ between passes")
+        us = [s["sgd_us_per_minibatch"] for s in samples]
+        learner[size] = {
+            "seconds_per_kind": {
+                kind: round(statistics.median(s["seconds_per_kind"][kind] for s in samples), 4)
+                for kind in first["seconds_per_kind"]
+            },
+            "sgd_minibatches": first["sgd_minibatches"],
+            "sgd_us_per_minibatch": round(statistics.median(us), 2),
+            "sgd_us_per_minibatch_passes": [round(u, 2) for u in us],
+            "sgd_weights_sha256": first["sgd_weights_sha256"],
+        }
     gate = {}
     for kind, cells in sweep.items():
         ns = sorted(cells, key=int)
         ratio = cells[ns[-1]]["us_per_round"] / cells[ns[0]]["us_per_round"]
         gate[kind] = {"ratio": round(ratio, 2), "within_2x": ratio <= 2.0,
                       "n": [int(ns[0]), int(ns[-1])]}
-    return {"sweep": sweep, "families": families, "experiment": experiment, "gate": gate}
+    return {"sweep": sweep, "families": families, "experiment": experiment,
+            "learner": learner, "gate": gate}
 
 
 def _moved(parent: dict, change: dict) -> dict:
@@ -289,24 +394,53 @@ def _moved(parent: dict, change: dict) -> dict:
         rows += len(new)
         moved_rows += sum(old.get(key) != digest for key, digest in new.items())
         moved_rows += sum(key not in new for key in old)
+    weights = moved_weights = 0
+    for size, side in change["learner"].items():
+        old = parent["learner"][size]["sgd_weights_sha256"]
+        weights += len(side["sgd_weights_sha256"])
+        moved_weights += sum(old.get(k) != v for k, v in side["sgd_weights_sha256"].items())
     return {"sweep_cells": len(sweep_cells), "moved_sweep_cells": moved_sweep,
             "family_runs": runs, "moved_family_runs": moved_runs,
-            "experiment_rows": rows, "moved_experiment_rows": moved_rows}
+            "experiment_rows": rows, "moved_experiment_rows": moved_rows,
+            "sgd_weights": weights, "moved_sgd_weights": moved_weights}
+
+
+def _pair(old: list[float], new: list[float], unit: str, digits: int) -> dict:
+    """Pass i of each side is a pair: wins of the change, medians and the
+    parent's interquartile range."""
+    quartiles = statistics.quantiles(old, n=4) if len(old) > 1 else [old[0]] * 3
+    return {
+        "pairs": len(new),
+        "change_faster": sum(b < a for a, b in zip(old, new)),
+        f"parent_median_{unit}": round(statistics.median(old), digits),
+        f"change_median_{unit}": round(statistics.median(new), digits),
+        f"parent_iqr_{unit}": round(quartiles[2] - quartiles[0], digits),
+    }
 
 
 def _pairs(parent: list[dict], change: list[dict]) -> dict:
-    """Per experiment variant: pass i of each side is a pair of wall times."""
+    """Per experiment variant, wall seconds."""
+    return {
+        name: _pair([p["experiment"][name]["wall_s"] for p in parent],
+                    [p["experiment"][name]["wall_s"] for p in change], "s", 3)
+        for name in change[0]["experiment"]
+    }
+
+
+def _learner_pairs(parent: list[dict], change: list[dict]) -> dict:
+    """Per train size, µs per SGD minibatch and seconds per learner kind."""
     out = {}
-    for name in change[0]["experiment"]:
-        old = [p["experiment"][name]["wall_s"] for p in parent]
-        new = [p["experiment"][name]["wall_s"] for p in change]
-        quartiles = statistics.quantiles(old, n=4) if len(old) > 1 else [old[0]] * 3
-        out[name] = {
-            "pairs": len(new),
-            "change_faster": sum(b < a for a, b in zip(old, new)),
-            "parent_median_s": round(statistics.median(old), 3),
-            "change_median_s": round(statistics.median(new), 3),
-            "parent_iqr_s": round(quartiles[2] - quartiles[0], 3),
+    for size, first in change[0]["learner"].items():
+        old = [p["learner"][size] for p in parent]
+        new = [p["learner"][size] for p in change]
+        out[size] = {
+            "sgd_us_per_minibatch": _pair([c["sgd_us_per_minibatch"] for c in old],
+                                          [c["sgd_us_per_minibatch"] for c in new], "us", 2),
+            "seconds_per_kind": {
+                kind: _pair([c["seconds_per_kind"][kind] for c in old],
+                            [c["seconds_per_kind"][kind] for c in new], "s", 4)
+                for kind in first["seconds_per_kind"]
+            },
         }
     return out
 
@@ -322,21 +456,23 @@ def main() -> int:
     parser.add_argument("--family-runs", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--min-seconds", type=float, default=0.5, help=argparse.SUPPRESS)
     parser.add_argument("--experiment-reps", type=int, default=0, help=argparse.SUPPRESS)
+    parser.add_argument("--learner-sizes", default="", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         ns = tuple(int(n) for n in args.ns.split(","))
+        learner_sizes = tuple(int(s) for s in args.learner_sizes.split(",") if s)
         result = _worker(args.worker, ns, args.family_runs, args.min_seconds,
-                         args.experiment_reps)
+                         args.experiment_reps, learner_sizes)
         print(json.dumps(result))
         return 0
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
 
     ns, family_runs, min_seconds, repeats = NS, max(FAMILY_RUNS.values()), 0.5, args.repeats
-    experiment_reps = EXPERIMENT_REPS
+    experiment_reps, learner_sizes = EXPERIMENT_REPS, LEARNER_SIZES
     if args.quick:
         ns, family_runs, min_seconds, repeats = QUICK_NS, 2, 0.01, 1
-        experiment_reps = 1
+        experiment_reps, learner_sizes = 1, QUICK_LEARNER_SIZES
     roots = {"change": Path.cwd()}
     if args.parent:
         roots["parent"] = Path(args.parent).resolve()
@@ -351,7 +487,7 @@ def main() -> int:
         for name in order:
             passes[name].append(
                 _pass(roots[name], ns, family_runs if rep == 0 else 0, min_seconds,
-                      experiment_reps)
+                      experiment_reps, learner_sizes)
             )
             print(f"pass {rep + 1}/{repeats} {name} done at "
                   f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
@@ -366,6 +502,7 @@ def main() -> int:
     if "parent" in passes:
         record["moved"] = _moved(passes["parent"][0], passes["change"][0])
         record["experiment_pairs"] = _pairs(passes["parent"], passes["change"])
+        record["learner_pairs"] = _learner_pairs(passes["parent"], passes["change"])
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
