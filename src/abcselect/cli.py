@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,8 +68,8 @@ def _list(value, what: str, kinds: tuple[type, ...] = ()) -> list:
 def _number(conf: dict, key: str, default, where: str, kind: type = float):
     """``conf[key]``, or ``default`` when absent, as a ``kind`` (``float`` or
     ``int``); ``conf`` is the config section named ``where``. The value must
-    be a JSON number, not a bool or a string, and for ``int`` an integral
-    one: nothing is truncated."""
+    be a finite JSON number, not a bool or a string, and for ``int`` an
+    integral one: nothing is truncated."""
     value = conf.get(key, default)
     if kind is int:
         integral = type(value) is int or (type(value) is float and value.is_integer())
@@ -77,9 +78,12 @@ def _number(conf: dict, key: str, default, where: str, kind: type = float):
     elif type(value) not in (int, float):
         raise ConfigError(f"key {key!r} in {where} must be a number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except OverflowError as exc:  # an integer beyond the float range
         raise ConfigError(f"key {key!r} in {where} is out of range, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):  # JSON NaN and Infinity
+        raise ConfigError(f"key {key!r} in {where} must be finite, got {value!r}")
+    return number
 
 
 def _load_json(path: str | Path, what: str) -> dict:

@@ -65,9 +65,9 @@ class RunParams:
                 f"initial_test_size {self.initial_test_size} must be in "
                 f"[1, {self.max_test_size}]"
             )
-        if self.step_factor_c <= 1.0:
-            raise ValueError(f"step_factor_c must be > 1, got {self.step_factor_c}")
-        if self.alpha_cost_exponent <= 0.0:
+        if not 1.0 < self.step_factor_c < math.inf:
+            raise ValueError(f"step_factor_c must be > 1 and finite, got {self.step_factor_c}")
+        if not self.alpha_cost_exponent > 0.0:
             raise ValueError(
                 f"alpha_cost_exponent must be > 0, got {self.alpha_cost_exponent}"
             )

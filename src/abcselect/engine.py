@@ -48,9 +48,12 @@ from __future__ import annotations
 
 import itertools
 import logging
+import multiprocessing
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from multiprocessing.connection import Connection
+from typing import Iterable, Iterator, Sequence
 
 from .ci_estimator import clamp_to_cached, lower_bound, upper_bound
 from .core import (
@@ -65,7 +68,7 @@ from .core import (
     clamp_interval,
     initial_states,
 )
-from .probes import ProbeBackend
+from .probes import LearnerBackend, ProbeBackend
 from .scheduler import (
     GradientEstimate,
     GradientSum,
@@ -276,6 +279,91 @@ def _next_probe_sizes(cfg: ConfigurationState, params: RunParams) -> tuple[int, 
     return s_tr, s_te
 
 
+def _sweep_keys(state: EngineState, cfg: ConfigurationState) -> Iterator[tuple[int, int, int]]:
+    """``(config_id, s_tr, s_te)`` of the probes left in ``cfg``'s sweep if
+    nothing is pruned meanwhile: ``cfg``'s, then each active configuration
+    after it with as many probes, in id order."""
+    ids, count = state.active.ids, len(cfg.history)
+    for cid in itertools.islice(ids, bisect_left(ids, cfg.id), None):
+        if len(state.by_id(cid).history) == count:
+            yield (cid, *_next_probe_sizes(state.by_id(cid), state.params))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the platform cannot tell)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _serve(backend: ProbeBackend, conn: Connection) -> None:
+    """A sweep-probe worker: probe each key received, reply with the outcome."""
+    while True:
+        key = conn.recv()
+        try:
+            conn.send((True, backend.probe(*key)))
+        except Exception as exc:  # noqa: BLE001 - raised again by the engine
+            conn.send((False, exc))
+
+
+def _sweep_workers(backend: ProbeBackend) -> _SweepProbes | None:
+    """Workers for a run's sweep probes, one per usable CPU, or None. Only a
+    learner's probes pay for a pipe round trip, only modelled costs ignore a
+    busy neighbour, and workers need two CPUs, fork and no enclosing pool."""
+    if isinstance(backend, LearnerBackend) and backend.estimate_cost(1, 1, 1) is not None:
+        if multiprocessing.parent_process() is None and _usable_cpus() > 1:
+            if "fork" in multiprocessing.get_all_start_methods():
+                return _SweepProbes(backend, _usable_cpus())
+    return None
+
+
+class _SweepProbes:
+    """Forked workers that inherit the backend. As ``probe`` is pure, a
+    worker's outcome is the one the round would compute in-process."""
+
+    def __init__(self, backend: ProbeBackend, width: int) -> None:
+        ctx = multiprocessing.get_context("fork")
+        self._width, self._idle, self._busy = width, [], {}  # (pipe, process), by key
+        for _ in range(width):
+            conn, child = ctx.Pipe()
+            worker = ctx.Process(target=_serve, args=(backend, child), daemon=True)
+            worker.start()
+            child.close()
+            self._idle.append((conn, worker))
+
+    def probe(self, keys: Iterable[tuple[int, int, int]]) -> ProbeOutcome | None:
+        """Hand the first of ``keys``, one per worker, to idle workers, then
+        return the first one's outcome (raising its error); None if no worker
+        took it or a worker died."""
+        keys = list(itertools.islice(keys, self._width))
+        try:
+            for key, (conn, _) in list(self._busy.items()):
+                if key not in keys and conn.poll():  # a probe no round reads
+                    conn.recv()
+                    self._idle.append(self._busy.pop(key))
+            for key in keys:
+                if key not in self._busy and self._idle:
+                    self._busy[key] = self._idle.pop()
+                    self._busy[key][0].send(key)
+            if keys[0] not in self._busy:
+                return None
+            ok, value = self._busy[keys[0]][0].recv()
+        except (EOFError, OSError):  # a worker died: the run goes on in-process
+            self.close()
+            logger.warning("a sweep-probe worker died; probing in-process")
+            return None
+        self._idle.append(self._busy.pop(keys[0]))
+        if not ok:
+            raise value
+        return value
+
+    def close(self) -> None:
+        """Stop the workers, killing any probe in flight."""
+        for conn, worker in [*self._idle, *self._busy.values()]:
+            worker.kill()
+            worker.join()
+            conn.close()
+        self._idle, self._busy = [], {}
+
+
 def _gradient_estimate(
     cfg: ConfigurationState, prev_ci: ConfidenceInterval
 ) -> GradientEstimate:
@@ -303,6 +391,11 @@ def _run(
     estimate, after the round whose cost reaches it. A budget the run never
     reaches is read out at the end. With ``stop_at_budget`` the loop stops
     at the first readout and appends its flag to the trace.
+
+    A sweep round hands its probe and the next (:func:`_sweep_keys`) to the
+    :func:`_sweep_workers`, if any, and takes its outcome from them; a probe
+    for a configuration pruned first is never read: it is in no trace row,
+    cost or flag.
     """
     _validate_setup(configs, backend, params)
     if not all(b > 0.0 for b in budgets):
@@ -323,94 +416,105 @@ def _run(
     pending = sorted(budgets, reverse=True)  # the next budget to read out is last
     readouts = state.trace.budget_readouts
 
-    while len(active) > 1:
-        cfg = next(warmup, None)
-        if cfg is None:
-            saturated = _saturated(state.by_id(state.incumbent_id), params)
-            cfg = state.by_id(
-                pick_next(
-                    scheduler, active.ranked, grads, state.incumbent_id, saturated, rr_sweep
+    workers = _sweep_workers(backend)
+    try:
+        while len(active) > 1:
+            cfg = next(warmup, None)
+            if cfg is None:
+                if workers is not None and rr_sweep is None:  # the sweeps are over
+                    workers.close()
+                    workers = None
+                saturated = _saturated(state.by_id(state.incumbent_id), params)
+                cfg = state.by_id(
+                    pick_next(
+                        scheduler, active.ranked, grads, state.incumbent_id, saturated, rr_sweep
+                    )
+                )
+            s_tr, s_te = _next_probe_sizes(cfg, params)
+
+            if pending:
+                spent = state.trace.wall_cost_total
+                est = backend.estimate_cost(cfg.id, s_tr, s_te)
+                while est is not None and pending and spent + est > pending[-1]:
+                    budget = pending.pop()
+                    _read_out(
+                        state,
+                        budget,
+                        f"budget stop before round {state.round_index + 1}: "
+                        f"spent {spent:g} + estimated {est:g} > budget {budget:g}",
+                    )
+                if stop_at_budget and readouts:
+                    state.trace.flags.append(readouts[0].flag)
+                    break
+
+            try:
+                # A sweep's keys start with this round's.
+                outcome = None if workers is None else workers.probe(_sweep_keys(state, cfg))
+                if outcome is None:
+                    outcome = backend.probe(cfg.id, s_tr, s_te)
+            except Exception as exc:  # noqa: BLE001 - re-raised with round context
+                raise BackendError(
+                    f"probe failed at round {state.round_index + 1} "
+                    f"for config {cfg.id} (s_tr={s_tr}, s_te={s_te}): {exc}"
+                ) from exc
+            state.round_index += 1
+
+            cached = active.cached(cfg)
+            raw, ci, disjoint = update_interval(outcome, cached, params)
+            if disjoint:
+                msg = (
+                    f"round {state.round_index}: interval [{raw.lower:.6f}, "
+                    f"{raw.upper:.6f}] disjoint from snapshot "
+                    f"[{cached.lower:.6f}, {cached.upper:.6f}] "
+                    f"for config {cfg.id}"
+                )
+                state.trace.flags.append(msg)
+                logger.warning(msg)
+
+            prev_ci = cfg.ci
+            cfg.append_probe(outcome)
+            active.update(cfg, ci)
+            if track_grads and len(cfg.history) >= 2:
+                grads.set(cfg.id, _gradient_estimate(cfg, prev_ci))
+
+            if ci.lower > state.incumbent_lower:
+                state.incumbent_id = cfg.id
+                state.incumbent_lower = ci.lower
+
+            pruned = active.due(state.incumbent_id, state.incumbent_lower, params.epsilon)
+            active.prune(pruned)
+            for pid in pruned:
+                grads.discard(pid)
+
+            state.trace.append(
+                TraceRound(
+                    round_index=state.round_index,
+                    config_id=cfg.id,
+                    outcome=outcome,
+                    ci=ci,
+                    incumbent_id=state.incumbent_id,
+                    pruned_ids=pruned,
+                    snapshot=bool(pruned),
                 )
             )
-        s_tr, s_te = _next_probe_sizes(cfg, params)
 
-        if pending:
-            spent = state.trace.wall_cost_total
-            est = backend.estimate_cost(cfg.id, s_tr, s_te)
-            while est is not None and pending and spent + est > pending[-1]:
-                budget = pending.pop()
-                _read_out(
-                    state,
-                    budget,
-                    f"budget stop before round {state.round_index + 1}: "
-                    f"spent {spent:g} + estimated {est:g} > budget {budget:g}",
-                )
-            if stop_at_budget and readouts:
-                state.trace.flags.append(readouts[0].flag)
-                break
-
-        try:
-            outcome = backend.probe(cfg.id, s_tr, s_te)
-        except Exception as exc:  # noqa: BLE001 - re-raised with round context
-            raise BackendError(
-                f"probe failed at round {state.round_index + 1} "
-                f"for config {cfg.id} (s_tr={s_tr}, s_te={s_te}): {exc}"
-            ) from exc
-        state.round_index += 1
-
-        cached = active.cached(cfg)
-        raw, ci, disjoint = update_interval(outcome, cached, params)
-        if disjoint:
-            msg = (
-                f"round {state.round_index}: interval [{raw.lower:.6f}, "
-                f"{raw.upper:.6f}] disjoint from snapshot "
-                f"[{cached.lower:.6f}, {cached.upper:.6f}] "
-                f"for config {cfg.id}"
-            )
-            state.trace.flags.append(msg)
-            logger.warning(msg)
-
-        prev_ci = cfg.ci
-        cfg.append_probe(outcome)
-        active.update(cfg, ci)
-        if track_grads and len(cfg.history) >= 2:
-            grads.set(cfg.id, _gradient_estimate(cfg, prev_ci))
-
-        if ci.lower > state.incumbent_lower:
-            state.incumbent_id = cfg.id
-            state.incumbent_lower = ci.lower
-
-        pruned = active.due(state.incumbent_id, state.incumbent_lower, params.epsilon)
-        active.prune(pruned)
-        for pid in pruned:
-            grads.discard(pid)
-
-        state.trace.append(
-            TraceRound(
-                round_index=state.round_index,
-                config_id=cfg.id,
-                outcome=outcome,
-                ci=ci,
-                incumbent_id=state.incumbent_id,
-                pruned_ids=pruned,
-                snapshot=bool(pruned),
-            )
-        )
-
-        # ``est`` is this round's: ``pending`` only shrinks.
-        if pending and est is None:
-            spent = state.trace.wall_cost_total
-            while pending and spent >= pending[-1]:
-                budget = pending.pop()
-                _read_out(
-                    state,
-                    budget,
-                    f"budget stop after round {state.round_index}: spent "
-                    f"{spent:g} >= budget {budget:g} (no cost estimate available)",
-                )
-            if stop_at_budget and readouts:
-                state.trace.flags.append(readouts[0].flag)
-                break
+            # ``est`` is this round's: ``pending`` only shrinks.
+            if pending and est is None:
+                spent = state.trace.wall_cost_total
+                while pending and spent >= pending[-1]:
+                    budget = pending.pop()
+                    _read_out(
+                        state,
+                        budget,
+                        f"budget stop after round {state.round_index}: spent "
+                        f"{spent:g} >= budget {budget:g} (no cost estimate available)",
+                    )
+                if stop_at_budget and readouts:
+                    state.trace.flags.append(readouts[0].flag)
+                    break
+    finally:
+        if workers is not None:
+            workers.close()
 
     while pending:
         _read_out(state, pending.pop(), None)

@@ -191,8 +191,8 @@ class ExperimentSpec:
         for key in ("initial_train_size", "initial_test_size"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.step_factor_c > 1.0:
-            raise ValueError(f"step_factor_c must be > 1, got {self.step_factor_c}")
+        if not 1.0 < self.step_factor_c < math.inf:
+            raise ValueError(f"step_factor_c must be > 1 and finite, got {self.step_factor_c}")
         if not self.alpha_cost_exponent > 0.0:
             raise ValueError(
                 f"alpha_cost_exponent must be > 0, got {self.alpha_cost_exponent}"

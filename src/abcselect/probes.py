@@ -320,7 +320,9 @@ class DatasetHandle:
 
     The partition is one seeded permutation of the row indices; samples of a
     part at growing sizes are prefixes of that part's permuted order, so
-    successive samples nest.
+    successive samples nest. Each part's rows and labels are copied once, in
+    that order, so a sample is a view of them; the handle keeps no other
+    copy of the data.
     """
 
     def __init__(
@@ -345,20 +347,24 @@ class DatasetHandle:
         n_test = min(n - 1, max(1, int(round(holdout * n))))
         rng = np.random.default_rng(seed)
         perm = rng.permutation(n)
-        self._features = features
-        self._labels = labels.astype(np.int64)
+        labels = labels.astype(np.int64, copy=False)
         self._test_order = perm[:n_test]
         self._train_order = perm[n_test:]
+        self._parts = {}
+        for part, order in (("train", self._train_order), ("test", self._test_order)):
+            self._parts[part] = (features[order], labels[order])
+            for array in self._parts[part]:
+                array.setflags(write=False)  # shared by every sample of the part
         self._holdout = holdout
         self._seed = seed
 
     @property
     def n_rows(self) -> int:
-        return self._features.shape[0]
+        return self.train_size + self.test_size
 
     @property
     def n_features(self) -> int:
-        return self._features.shape[1]
+        return self._parts["train"][0].shape[1]
 
     @property
     def train_size(self) -> int:
@@ -393,12 +399,15 @@ class DatasetHandle:
         return order[:size]
 
     def train_arrays(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.sample_nested("train", size)
-        return self._features[idx], self._labels[idx]
+        return self._prefix("train", size)
 
     def test_arrays(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.sample_nested("test", size)
-        return self._features[idx], self._labels[idx]
+        return self._prefix("test", size)
+
+    def _prefix(self, part: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+        n = len(self.sample_nested(part, size))  # checks part and size
+        rows, labels = self._parts[part]
+        return rows[:n], labels[:n]
 
 
 def load_csv_dataset(
@@ -419,7 +428,10 @@ def load_csv_dataset(
     lo = features.min(axis=0)
     span = features.max(axis=0) - lo
     span[span == 0.0] = 1.0  # constant columns map to 0
-    features = (features - lo) / span
+    features = features - lo
+    features /= span
+    labels = labels.astype(np.int64)
+    del data  # before the handle copies the data into its parts
     return DatasetHandle(features, labels, holdout=holdout, seed=seed)
 
 

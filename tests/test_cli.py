@@ -347,6 +347,12 @@ def test_run_bad_cost_model_exits_1(tmp_path, capsys, cost_model):
         ({"epsilon": "x"}, None, "'epsilon'"),
         ({"delta": [0.5]}, None, "'delta'"),
         ({"initial_train_size": "1e3"}, None, "initial_train_size"),
+        # JSON's NaN and Infinity literals: the first used to exit 2, the
+        # second to raise OverflowError and the third to exit 0.
+        ({"step_factor_c": float("nan")}, None, "key 'step_factor_c' in params must be finite"),
+        ({"step_factor_c": float("inf")}, None, "key 'step_factor_c' in params must be finite"),
+        ({"alpha_cost_exponent": float("nan")}, None,
+         "key 'alpha_cost_exponent' in params must be finite"),
     ],
 )
 def test_run_bad_params_value_exits_1(synthetic_setup, capsys, monkeypatch, params, env_seed, key):
@@ -406,9 +412,11 @@ def test_run_param_not_a_json_number_of_its_kind_exits_1(synthetic_setup, capsys
 @pytest.mark.parametrize(
     "key, value",
     [("repetitions", [2]), ("repetitions", 2.5), ("base_seed", True), ("base_seed", 1.5),
-     ("delta", "x"), ("initial_train_size", 1000.5), ("step_factor_c", True)],
+     ("delta", "x"), ("initial_train_size", 1000.5), ("step_factor_c", True),
+     ("step_factor_c", float("inf")), ("alpha_cost_exponent", float("nan"))],
     ids=["repetitions_list", "repetitions_fraction", "base_seed_bool", "base_seed_fraction",
-         "delta_string", "train_size_fraction", "step_factor_bool"],
+         "delta_string", "train_size_fraction", "step_factor_bool", "step_factor_infinity",
+         "alpha_nan"],
 )
 def test_experiment_bad_number_exits_1(tmp_path, capsys, key, value):
     spec_path = experiment_spec(tmp_path, **{key: value})

@@ -68,7 +68,9 @@ class TestValidation:
         for key, bad in [
             ("epsilon", 1.5), ("delta", 0.0), ("delta", 1.0), ("n_configs", 0),
             ("initial_train_size", 101), ("step_factor_c", 1.0),
-            ("alpha_cost_exponent", 0.0), ("seed", -1),
+            ("step_factor_c", float("nan")), ("step_factor_c", float("inf")),
+            ("alpha_cost_exponent", 0.0), ("alpha_cost_exponent", float("nan")),
+            ("seed", -1),
         ]:
             with pytest.raises(ValueError):
                 RunParams(**{**good, key: bad})

@@ -78,6 +78,15 @@ class TestExperimentSpec:
                 repetitions=1, base_seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("step_factor_c", float("nan")), ("step_factor_c", float("inf")),
+         ("alpha_cost_exponent", float("nan")), ("delta", float("nan"))],
+    )
+    def test_rejects_non_finite_run_param(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            replace(small_spec(["full_run"]), **{key: value})
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             small_spec(["warp_drive"])

@@ -193,6 +193,22 @@ class TestDatasetHandle:
         assert not train & test
         assert len(train) + len(test) == handle.n_rows
 
+    def test_arrays_are_read_only_views_of_the_nested_sample(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(1000, 3))
+        y = (X[:, 0] > 0).astype(int)
+        handle = DatasetHandle(X, y, holdout=0.3, seed=2)
+        for part, arrays in (("train", handle.train_arrays), ("test", handle.test_arrays)):
+            idx = handle.sample_nested(part, 200)
+            rows, labels = arrays(200)
+            assert np.array_equal(rows, X[idx]) and np.array_equal(labels, y[idx])
+            assert rows.base is arrays(300)[0].base
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
+            size = handle.train_size if part == "train" else handle.test_size
+            with pytest.raises(ValueError):
+                arrays(size + 1)
+
     def test_oversized_sample_rejected(self):
         handle = separable_handle(n=1000)
         with pytest.raises(ValueError):

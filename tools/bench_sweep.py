@@ -27,18 +27,25 @@ Each pass, in a fresh process, records:
   sample twice that, capped at the test part) on a seeded in-memory
   dataset of 100k rows by 5 features: seconds per learner kind (each
   probe's median over repeats that fill 0.5 s), µs per SGD minibatch and
-  a SHA-256 over each SGD model's weights and bias.
+  a SHA-256 over each SGD model's weights and bias;
+* learner_csv end to end: ``abcselect run --final-train`` in-process on the
+  benchmark's ``learner_csv`` input (``abcbench/workloads.py``, 100k rows)
+  for seeds 1 to 5: wall seconds and the SHA-256 of the trace and report
+  each run writes, and the peak RSS of the pass's reaped child processes
+  (``RUSAGE_CHILDREN``: the sweep-probe workers, which the benchmark's
+  ``RUSAGE_SELF`` figure does not see).
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
 host. µs per round is the median over repeats; the family table is
 machine-independent and is taken once per side; the experiment's wall
-seconds and the learner timings are kept per pass, so that pass i of the
-two sides is a pair. The record also carries the machine, the number of
-traces, experiment metrics rows and SGD weight digests that differ between
-the sides (none may move), and the gate: µs per round at the largest n
-over that at the smallest, per scheduler. ``--quick`` runs a tiny version,
-as a self-test.
+seconds, the learner timings and the learner_csv wall seconds (summed over
+the seeds) are kept per pass, so that pass i of the two sides is a pair.
+The record also carries the machine, the number of traces, experiment
+metrics rows, SGD weight digests and learner_csv runs that differ between
+the sides (none may move), and the gate: µs per round at the largest n over
+that at the smallest, per scheduler. ``--quick`` runs a tiny version, as a
+self-test.
 """
 
 from __future__ import annotations
@@ -68,16 +75,20 @@ EXPERIMENT_SEED, EXPERIMENT_BUDGETS, EXPERIMENT_REPS = 5, (2.0e5, 2.0e6), 20
 # past one gathered block of the SGD kernel (4,096 rows).
 LEARNER_SIZES, QUICK_LEARNER_SIZES = (8000, 64000), (500, 5000)
 LEARNER_ROWS, LEARNER_SEED = 100_000, 12345
+# Seeds and rows of the learner_csv runs; the quick rows are the benchmark's
+# own quick size.
+CSV_SEEDS, QUICK_CSV_SEEDS, CSV_ROWS, QUICK_CSV_ROWS = (1, 2, 3, 4, 5), (1,), 100_000, 3000
 
 
 def _worker(
     src: str, ns: tuple[int, ...], family_runs: int, min_seconds: float, experiment_reps: int,
-    learner_sizes: tuple[int, ...],
+    learner_sizes: tuple[int, ...], csv_seeds: tuple[int, ...], csv_rows: int,
 ) -> dict:
     """One pass over the program under ``src``, with up to ``family_runs``
     runs per family and scheduler, ``experiment_reps`` repetitions per
-    experiment cell (0: no experiment) and learner probes at
-    ``learner_sizes``; returns the measurements."""
+    experiment cell (0: no experiment), learner probes at ``learner_sizes``
+    and learner_csv runs for ``csv_seeds`` on ``csv_rows`` rows; returns the
+    measurements."""
     sys.path.insert(0, src)
     import dataclasses
     import logging
@@ -206,7 +217,9 @@ def _worker(
                 },
             }
     learner = _learner_probes(learner_sizes, min_seconds) if learner_sizes else {}
-    return {"sweep": sweep, "families": families, "experiment": experiment, "learner": learner}
+    learner_csv = _learner_csv(Path(src).parent, csv_seeds, csv_rows) if csv_seeds else {}
+    return {"sweep": sweep, "families": families, "experiment": experiment, "learner": learner,
+            "learner_csv": learner_csv}
 
 
 # The acceptance suite's criterion-11 grid: four SGD variants, a stump and the
@@ -280,6 +293,37 @@ def _learner_probes(sizes: tuple[int, ...], min_seconds: float) -> dict:
     return out
 
 
+def _learner_csv(root: Path, seeds: tuple[int, ...], rows: int) -> dict:
+    """``abcselect run --final-train``, timed, on the benchmark's learner_csv
+    input of each seed, written by the checkout's own ``abcbench``."""
+    import contextlib
+    import io
+    import resource
+    import tempfile
+
+    sys.path.insert(0, str(root / "abcbench"))
+    import workloads
+
+    from abcselect import cli
+
+    runs, wall_s = {}, 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            inp = workloads.learner_setup(seed, rows, Path(tmp) / str(seed))
+            with contextlib.redirect_stdout(io.StringIO()):
+                start = time.perf_counter()
+                code = cli.main(["run", str(inp.config), "--final-train"])
+                wall_s += time.perf_counter() - start
+            if code != cli.EXIT_OK:
+                raise SystemExit(f"learner_csv seed {seed}: abcselect run exited {code}")
+            runs[str(seed)] = {
+                f"{name}_sha256": hashlib.sha256((inp.directory / file).read_bytes()).hexdigest()
+                for name, file in (("trace", "trace.jsonl"), ("report", "report.json"))
+            }
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+    return {"runs": runs, "wall_s": wall_s, "children_peak_rss_mb": children}
+
+
 def _machine() -> dict:
     import numpy
 
@@ -302,18 +346,19 @@ def _machine() -> dict:
 
 
 def _pass(root: Path, ns, family_runs: int, min_seconds: float, experiment_reps: int,
-          learner_sizes) -> dict:
+          learner_sizes, csv_seeds, csv_rows: int) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root / "src"),
            "--ns", ",".join(map(str, ns)), "--family-runs", str(family_runs),
            "--min-seconds", str(min_seconds), "--experiment-reps", str(experiment_reps),
-           "--learner-sizes", ",".join(map(str, learner_sizes))]
+           "--learner-sizes", ",".join(map(str, learner_sizes)),
+           "--csv-seeds", ",".join(map(str, csv_seeds)), "--csv-rows", str(csv_rows)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
 def _side(passes: list[dict]) -> dict:
-    """Median µs per round, experiment wall seconds and learner timings over
-    the passes; digests must agree."""
+    """Median µs per round, experiment wall seconds, learner timings and
+    learner_csv wall seconds over the passes; digests must agree."""
     sweep = {}
     for kind, cells in passes[0]["sweep"].items():
         sweep[kind] = {}
@@ -365,6 +410,18 @@ def _side(passes: list[dict]) -> dict:
             "sgd_us_per_minibatch_passes": [round(u, 2) for u in us],
             "sgd_weights_sha256": first["sgd_weights_sha256"],
         }
+    learner_csv = {}
+    if passes[0]["learner_csv"]:
+        samples = [p["learner_csv"] for p in passes]
+        if any(s["runs"] != samples[0]["runs"] for s in samples):
+            raise SystemExit("learner_csv: traces or reports differ between passes")
+        walls = [s["wall_s"] for s in samples]
+        learner_csv = {
+            "wall_s": round(statistics.median(walls), 3),
+            "wall_s_passes": [round(w, 3) for w in walls],
+            "children_peak_rss_mb_passes": [round(s["children_peak_rss_mb"], 2) for s in samples],
+            "runs": samples[0]["runs"],
+        }
     gate = {}
     for kind, cells in sweep.items():
         ns = sorted(cells, key=int)
@@ -372,7 +429,7 @@ def _side(passes: list[dict]) -> dict:
         gate[kind] = {"ratio": round(ratio, 2), "within_2x": ratio <= 2.0,
                       "n": [int(ns[0]), int(ns[-1])]}
     return {"sweep": sweep, "families": families, "experiment": experiment,
-            "learner": learner, "gate": gate}
+            "learner": learner, "learner_csv": learner_csv, "gate": gate}
 
 
 def _moved(parent: dict, change: dict) -> dict:
@@ -399,10 +456,14 @@ def _moved(parent: dict, change: dict) -> dict:
         old = parent["learner"][size]["sgd_weights_sha256"]
         weights += len(side["sgd_weights_sha256"])
         moved_weights += sum(old.get(k) != v for k, v in side["sgd_weights_sha256"].items())
+    old_csv = parent["learner_csv"].get("runs", {})
+    new_csv = change["learner_csv"].get("runs", {})
+    moved_csv = sum(old_csv.get(seed) != run for seed, run in new_csv.items())
     return {"sweep_cells": len(sweep_cells), "moved_sweep_cells": moved_sweep,
             "family_runs": runs, "moved_family_runs": moved_runs,
             "experiment_rows": rows, "moved_experiment_rows": moved_rows,
-            "sgd_weights": weights, "moved_sgd_weights": moved_weights}
+            "sgd_weights": weights, "moved_sgd_weights": moved_weights,
+            "learner_csv_runs": len(new_csv), "moved_learner_csv_runs": moved_csv}
 
 
 def _pair(old: list[float], new: list[float], unit: str, digits: int) -> dict:
@@ -457,12 +518,15 @@ def main() -> int:
     parser.add_argument("--min-seconds", type=float, default=0.5, help=argparse.SUPPRESS)
     parser.add_argument("--experiment-reps", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--learner-sizes", default="", help=argparse.SUPPRESS)
+    parser.add_argument("--csv-seeds", default="", help=argparse.SUPPRESS)
+    parser.add_argument("--csv-rows", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         ns = tuple(int(n) for n in args.ns.split(","))
         learner_sizes = tuple(int(s) for s in args.learner_sizes.split(",") if s)
+        csv_seeds = tuple(int(s) for s in args.csv_seeds.split(",") if s)
         result = _worker(args.worker, ns, args.family_runs, args.min_seconds,
-                         args.experiment_reps, learner_sizes)
+                         args.experiment_reps, learner_sizes, csv_seeds, args.csv_rows)
         print(json.dumps(result))
         return 0
     if args.repeats < 1:
@@ -470,9 +534,11 @@ def main() -> int:
 
     ns, family_runs, min_seconds, repeats = NS, max(FAMILY_RUNS.values()), 0.5, args.repeats
     experiment_reps, learner_sizes = EXPERIMENT_REPS, LEARNER_SIZES
+    csv_seeds, csv_rows = CSV_SEEDS, CSV_ROWS
     if args.quick:
         ns, family_runs, min_seconds, repeats = QUICK_NS, 2, 0.01, 1
         experiment_reps, learner_sizes = 1, QUICK_LEARNER_SIZES
+        csv_seeds, csv_rows = QUICK_CSV_SEEDS, QUICK_CSV_ROWS
     roots = {"change": Path.cwd()}
     if args.parent:
         roots["parent"] = Path(args.parent).resolve()
@@ -487,7 +553,7 @@ def main() -> int:
         for name in order:
             passes[name].append(
                 _pass(roots[name], ns, family_runs if rep == 0 else 0, min_seconds,
-                      experiment_reps, learner_sizes)
+                      experiment_reps, learner_sizes, csv_seeds, csv_rows)
             )
             print(f"pass {rep + 1}/{repeats} {name} done at "
                   f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
@@ -503,6 +569,9 @@ def main() -> int:
         record["moved"] = _moved(passes["parent"][0], passes["change"][0])
         record["experiment_pairs"] = _pairs(passes["parent"], passes["change"])
         record["learner_pairs"] = _learner_pairs(passes["parent"], passes["change"])
+        record["learner_csv_pairs"] = _pair(
+            [p["learner_csv"]["wall_s"] for p in passes["parent"]],
+            [p["learner_csv"]["wall_s"] for p in passes["change"]], "s", 3)
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
