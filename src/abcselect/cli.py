@@ -227,6 +227,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             pairs = [_list(p, what, (int, float)) for p in _list(cost_model, what, (list,))]
             if len(pairs) != len(source.learners) or any(len(p) != 2 for p in pairs):
                 raise ConfigError(f"{what} must list one [kappa, alpha] pair per learner")
+            if not all(0.0 < x < math.inf for p in pairs for x in p):
+                raise ConfigError(f"{what} must hold finite numbers > 0, got {cost_model!r}")
         handle = load_csv_dataset(
             source.csv_path, header=source.header, holdout=source.holdout,
             seed=source.split_seed,

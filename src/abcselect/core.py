@@ -156,7 +156,7 @@ class ProbeOutcome:
             raise ValueError(f"train_accuracy {self.train_accuracy} not in [0, 1]")
         if not 0.0 <= self.test_accuracy <= 1.0:
             raise ValueError(f"test_accuracy {self.test_accuracy} not in [0, 1]")
-        if self.cost < 0.0:
+        if not self.cost >= 0.0:
             raise ValueError(f"cost must be >= 0, got {self.cost}")
 
 
@@ -298,10 +298,11 @@ class RunTrace:
     _pruned_seen: set[int] = field(default_factory=set, repr=False)
 
     def append(self, row: TraceRound) -> None:
-        dup = self._pruned_seen.intersection(row.pruned_ids)
-        if dup:
-            raise ValueError(f"configs {sorted(dup)} pruned more than once")
-        self._pruned_seen.update(row.pruned_ids)
+        if row.pruned_ids:
+            dup = self._pruned_seen.intersection(row.pruned_ids)
+            if dup:
+                raise ValueError(f"configs {sorted(dup)} pruned more than once")
+            self._pruned_seen.update(row.pruned_ids)
         self.rounds.append(row)
         self.wall_cost_total += row.outcome.cost
 
@@ -318,11 +319,29 @@ class RunTrace:
         return sum(1 for r in self.rounds if r.snapshot)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_record()) + "\n" for r in self.rounds)
+        return "".join(map(_jsonl_line, self.rounds))
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_jsonl())
+
+
+def _jsonl_line(r: TraceRound) -> str:
+    """``json.dumps(r.to_record())`` and a newline: JSON writes a finite
+    float, ``np.float64`` too, as ``float.__repr__``; only a cost can be inf."""
+    o, ci, _repr = r.outcome, r.ci, float.__repr__
+    try:
+        return (
+            f'{{"round": {r.round_index}, "config_id": {r.config_id}, '
+            f'"s_tr": {o.train_sample_size}, "s_te": {o.test_sample_size}, '
+            f'"acc_train": {_repr(o.train_accuracy)}, "acc_test": {_repr(o.test_accuracy)}, '
+            f'"cost": {_repr(o.cost) if o.cost < math.inf else json.dumps(o.cost)}, '
+            f'"lower": {_repr(ci.lower)}, "upper": {_repr(ci.upper)}, '
+            f'"incumbent": {r.incumbent_id}, "pruned": {list(r.pruned_ids)}, '
+            f'"snapshot": {"true" if r.snapshot else "false"}}}\n'
+        )
+    except TypeError:  # an int or a bool where the format has a float
+        return json.dumps(r.to_record()) + "\n"
 
 
 def load_trace_rounds(path) -> list[TraceRound]:

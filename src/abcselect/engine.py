@@ -18,18 +18,19 @@ scheduler picks it then. (The warm-up never meets it: a first probe
 saturates only when every first probe does, and then the first sweep
 prunes all but the incumbent.) So every round grows an unsaturated
 configuration's sample, each configuration is probed at most ``growth steps
-+ 1`` times (the :func:`~abcselect.scheduler.next_sample_size` steps from
-the initial to the full train size), and a run ends within ``n * (growth
-steps + 1)`` rounds.
++ 1`` times (the rungs of :func:`~abcselect.scheduler.size_ladder`), and a
+run ends within ``n * (growth steps + 1)`` rounds.
 
-One index, :class:`ActiveSet`, holds the ``(-upper, id)`` rank order and the
-prune rule; the loop and the structural audit's replay both use it and
-:func:`update_interval`. Only the probed configuration's interval changes in
-a round, so the engine's own work per round is O(log n) tuple comparisons
-plus list moves of at most n pointers, and each pick is O(1): UCB and
-gradient-CI read the head of the ranked order, and gradient-CI's G is an
-exact sum that gains or loses one term when a configuration is probed or
-pruned (:class:`~abcselect.scheduler.GradientSum`). The warm-up is two
+A run builds its size ladder (a configuration's k-th probe is at rung k)
+and its :class:`~abcselect.ci_estimator.IntervalRule` once. One index,
+:class:`ActiveSet`, holds the ``(-upper, id)`` rank order and the prune
+rule; the loop and the structural audit's replay both use it and the rule.
+Only the probed configuration's interval changes in a round, so the
+engine's own work per round is O(log n) tuple comparisons plus list moves
+of at most n pointers, and each pick is O(1): UCB and gradient-CI read the
+head of the ranked order, and gradient-CI's G is an exact sum that gains or
+loses one term when a configuration is probed or pruned
+(:class:`~abcselect.scheduler.GradientSum`). The warm-up is two
 :func:`~abcselect.scheduler.sweeps`, each a queue built once; round-robin
 continues them. Pruning walks in from the low-upper end of the ranked order
 (``upper - incumbent_lower`` is monotone in ``upper`` under float
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Iterable, Iterator, Sequence
 
-from .ci_estimator import clamp_to_cached, lower_bound, upper_bound
+from .ci_estimator import IntervalRule
 from .core import (
     BackendError,
     BudgetReadout,
@@ -65,7 +66,6 @@ from .core import (
     RunParams,
     RunTrace,
     TraceRound,
-    clamp_interval,
     initial_states,
 )
 from .probes import LearnerBackend, ProbeBackend
@@ -73,8 +73,8 @@ from .scheduler import (
     GradientEstimate,
     GradientSum,
     SchedulerKind,
-    next_sample_size,
     pick_next,
+    size_ladder,
     sweeps,
 )
 
@@ -162,8 +162,11 @@ class ActiveSet:
     ) -> tuple[int, ...]:
         """Ascending ids of the active configurations the prune rule selects:
         every one but the incumbent with ``upper - incumbent_lower <= epsilon``."""
+        ranked = self.ranked
+        if not ranked or ranked[-1].ci.upper - incumbent_lower > epsilon:
+            return ()
         due = []
-        for cfg in reversed(self.ranked):
+        for cfg in reversed(ranked):
             if cfg.ci.upper - incumbent_lower > epsilon:
                 break
             if cfg.id != incumbent_id:
@@ -208,20 +211,7 @@ def update_interval(
     ``cached``. A test sample above the full test set, which only a trace
     read from outside the program can hold, raises ``ValueError``.
     """
-    if outcome.test_sample_size > params.max_test_size:
-        raise ValueError(
-            f"test sample size {outcome.test_sample_size} exceeds the full test "
-            f"set size {params.max_test_size}"
-        )
-    if (
-        outcome.train_sample_size >= params.max_train_size
-        and outcome.test_sample_size >= params.max_test_size
-    ):
-        raw = clamp_interval(outcome.test_accuracy, outcome.test_accuracy)
-    else:
-        raw = clamp_interval(lower_bound(outcome, params), upper_bound(outcome, params))
-    nested, disjoint = clamp_to_cached(raw, cached)
-    return raw, nested, disjoint
+    return IntervalRule(params).update(outcome, cached)
 
 
 def _validate_setup(
@@ -250,43 +240,16 @@ def _validate_setup(
             raise ValueError("configuration ids must be 1..n in input order")
 
 
-def _saturated(cfg: ConfigurationState, params: RunParams) -> bool:
-    """Whether ``cfg``'s last probe ran on the full data (its interval is exact)."""
-    last = cfg.last_outcome
-    return last is not None and last.train_sample_size >= params.max_train_size
-
-
-def _next_probe_sizes(cfg: ConfigurationState, params: RunParams) -> tuple[int, int]:
-    """Sizes for this configuration's next probe.
-
-    Train size grows geometrically by c; test size grows by the same factor
-    from its initial value, except that a probe at full training data is
-    evaluated on the full test data (the accuracy is then exact).
-    """
-    last = cfg.last_outcome
-    if last is None:
-        s_tr = params.initial_train_size
-        s_te = params.initial_test_size
-    else:
-        s_tr = next_sample_size(
-            last.train_sample_size, params.step_factor_c, params.max_train_size
-        )
-        s_te = next_sample_size(
-            last.test_sample_size, params.step_factor_c, params.max_test_size
-        )
-    if s_tr >= params.max_train_size:
-        s_te = params.max_test_size
-    return s_tr, s_te
-
-
-def _sweep_keys(state: EngineState, cfg: ConfigurationState) -> Iterator[tuple[int, int, int]]:
+def _sweep_keys(
+    state: EngineState, cfg: ConfigurationState, sizes: tuple[int, int]
+) -> Iterator[tuple[int, int, int]]:
     """``(config_id, s_tr, s_te)`` of the probes left in ``cfg``'s sweep if
     nothing is pruned meanwhile: ``cfg``'s, then each active configuration
-    after it with as many probes, in id order."""
+    after it with as many probes, in id order, all at ``sizes``."""
     ids, count = state.active.ids, len(cfg.history)
     for cid in itertools.islice(ids, bisect_left(ids, cfg.id), None):
         if len(state.by_id(cid).history) == count:
-            yield (cid, *_next_probe_sizes(state.by_id(cid), state.params))
+            yield (cid, *sizes)
 
 
 def _usable_cpus() -> int:
@@ -413,6 +376,8 @@ def _run(
         rr_sweep = sweeps(state.configs, active.ids, itertools.count(2))
     grads = GradientSum()
     track_grads = scheduler is SchedulerKind.GRADIENT_CI
+    rule = IntervalRule(params)
+    ladder, rungs = [], size_ladder(params)  # rungs are listed on first use
     pending = sorted(budgets, reverse=True)  # the next budget to read out is last
     readouts = state.trace.budget_readouts
 
@@ -424,13 +389,17 @@ def _run(
                 if workers is not None and rr_sweep is None:  # the sweeps are over
                     workers.close()
                     workers = None
-                saturated = _saturated(state.by_id(state.incumbent_id), params)
+                last = state.by_id(state.incumbent_id).last_outcome
+                saturated = last is not None and last.train_sample_size >= params.max_train_size
                 cfg = state.by_id(
                     pick_next(
                         scheduler, active.ranked, grads, state.incumbent_id, saturated, rr_sweep
                     )
                 )
-            s_tr, s_te = _next_probe_sizes(cfg, params)
+            k = len(cfg.history)
+            while k >= len(ladder):
+                ladder.append(next(rungs))
+            s_tr, s_te = ladder[k]
 
             if pending:
                 spent = state.trace.wall_cost_total
@@ -449,9 +418,13 @@ def _run(
 
             try:
                 # A sweep's keys start with this round's.
-                outcome = None if workers is None else workers.probe(_sweep_keys(state, cfg))
+                outcome = None
+                if workers is not None:
+                    outcome = workers.probe(_sweep_keys(state, cfg, ladder[k]))
                 if outcome is None:
                     outcome = backend.probe(cfg.id, s_tr, s_te)
+                if outcome.train_sample_size != s_tr or outcome.test_sample_size != s_te:
+                    raise ValueError(f"outcome at other sizes: {outcome}")
             except Exception as exc:  # noqa: BLE001 - re-raised with round context
                 raise BackendError(
                     f"probe failed at round {state.round_index + 1} "
@@ -460,7 +433,7 @@ def _run(
             state.round_index += 1
 
             cached = active.cached(cfg)
-            raw, ci, disjoint = update_interval(outcome, cached, params)
+            raw, ci, disjoint = rule.update(outcome, cached)
             if disjoint:
                 msg = (
                     f"round {state.round_index}: interval [{raw.lower:.6f}, "
@@ -482,19 +455,15 @@ def _run(
                 state.incumbent_lower = ci.lower
 
             pruned = active.due(state.incumbent_id, state.incumbent_lower, params.epsilon)
-            active.prune(pruned)
-            for pid in pruned:
-                grads.discard(pid)
+            if pruned:
+                active.prune(pruned)
+                for pid in pruned:
+                    grads.discard(pid)
 
             state.trace.append(
                 TraceRound(
-                    round_index=state.round_index,
-                    config_id=cfg.id,
-                    outcome=outcome,
-                    ci=ci,
-                    incumbent_id=state.incumbent_id,
-                    pruned_ids=pruned,
-                    snapshot=bool(pruned),
+                    state.round_index, cfg.id, outcome, ci, state.incumbent_id, pruned,
+                    bool(pruned),
                 )
             )
 

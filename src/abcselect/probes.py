@@ -135,8 +135,10 @@ class CurveSpec:
         val = self.a_inf - self.b * float(s) ** (-self.beta)
         return min(1.0, max(0.0, val))
 
-    def train_accuracy(self, s: int) -> float:
-        return min(1.0, self.true_accuracy(s) + self.overfit_gap * float(s) ** (-self.gamma))
+    def train_accuracy(self, s: int, truth: float | None = None) -> float:
+        """Train accuracy at s samples, given ``true_accuracy(s)`` if known."""
+        truth = self.true_accuracy(s) if truth is None else truth
+        return min(1.0, truth + self.overfit_gap * float(s) ** (-self.gamma))
 
     def cost(self, s: int) -> float:
         return self.kappa * float(s) ** self.alpha
@@ -184,7 +186,7 @@ def probe_synthetic(
     if s_tr < 1 or s_te < 1:
         raise ValueError("sample sizes must be >= 1")
     truth = spec.true_accuracy(s_tr)
-    train_acc = spec.train_accuracy(s_tr)
+    train_acc = spec.train_accuracy(s_tr, truth)
     if population_test:
         test_acc = truth
     else:
@@ -284,17 +286,17 @@ class SyntheticBackend:
         return self._instance.max_test_size
 
     def _spec(self, config_id: int) -> CurveSpec:
-        if not 1 <= config_id <= self.n_configs:
-            raise ValueError(f"config id {config_id} out of range 1..{self.n_configs}")
+        if not 1 <= config_id <= len(self._instance.curves):
+            raise ValueError(f"config id {config_id} out of range 1..{len(self._instance.curves)}")
         return self._instance.curves[config_id - 1]
 
     def probe(self, config_id: int, s_tr: int, s_te: int) -> ProbeOutcome:
         spec = self._spec(config_id)
-        if s_tr > self.max_train_size or s_te > self.max_test_size:
+        if s_tr > self._instance.max_train_size or s_te > self._instance.max_test_size:
             raise ValueError("requested sizes exceed the full data sizes")
         # Evaluating on the entire test set measures the accuracy exactly,
         # with no draw to seed.
-        if s_te >= self.max_test_size:
+        if s_te >= self._instance.max_test_size:
             return probe_synthetic(spec, s_tr, s_te, None, population_test=True)
         entropy = [self._seed, config_id, s_tr, s_te]
         # SeedSequence splits each int of a list into 32-bit words, so when
@@ -734,6 +736,9 @@ class LearnerBackend:
             raise ValueError("need at least one learner")
         if cost_model is not None and len(cost_model) != len(learners):
             raise ValueError("cost_model must give (kappa, alpha) per learner")
+        for kappa, alpha in cost_model or ():
+            if not (0.0 < kappa < math.inf and 0.0 < alpha < math.inf):
+                raise ValueError(f"cost_model needs finite kappa, alpha > 0, got {kappa}, {alpha}")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         self._handle = handle

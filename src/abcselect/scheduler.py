@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import ConfigurationState
+from .core import ConfigurationState, RunParams
 
 __all__ = [
     "GradientEstimate",
@@ -39,6 +39,7 @@ __all__ = [
     "optimal_step_size",
     "pick_next",
     "round_robin_pick",
+    "size_ladder",
     "sweeps",
     "ucb_pick",
 ]
@@ -87,6 +88,18 @@ def next_sample_size(current: int, c: float, cap: int) -> int:
         return cap
     grown = int(math.floor(c * current + 0.5))
     return min(cap, max(current + 1, grown))
+
+
+def size_ladder(params: RunParams) -> Iterator[tuple[int, int]]:
+    """The ``(s_tr, s_te)`` of a configuration's probes: each grown by
+    :func:`next_sample_size` up to the full train size, whose probe runs on
+    the full test set (its accuracy is then exact) and is the last."""
+    s_tr, s_te = params.initial_train_size, params.initial_test_size
+    while s_tr < params.max_train_size:
+        yield s_tr, s_te
+        s_tr = next_sample_size(s_tr, params.step_factor_c, params.max_train_size)
+        s_te = next_sample_size(s_te, params.step_factor_c, params.max_test_size)
+    yield s_tr, params.max_test_size
 
 
 # 2**-1074, the smallest subnormal float, divides every finite float.

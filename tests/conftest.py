@@ -1,9 +1,38 @@
+import faulthandler
 import logging
+import os
+import sys
 
 import pytest
 
 from abcselect.core import RunParams, initial_states
 from abcselect.probes import SyntheticBackend, SyntheticInstance
+
+
+# Far above the slowest test (about 2.3 s). A test that hangs, say on a
+# sweep-probe worker's pipe that never answers, ends the run after this
+# long with every thread's traceback instead of holding it forever.
+TEST_TIME_LIMIT_S = 120.0
+_terminal_stderr = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # The traceback must reach the terminal, not a test's captured output,
+    # which the exit discards: keep a copy of stderr from before the tests.
+    config.stash[_terminal_stderr] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_terminal_stderr])
+
+
+@pytest.fixture(autouse=True)
+def time_limit(pytestconfig):
+    faulthandler.dump_traceback_later(
+        TEST_TIME_LIMIT_S, exit=True, file=pytestconfig.stash[_terminal_stderr]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(autouse=True)

@@ -30,12 +30,13 @@ from abcselect.core import (
     clamp_interval,
     initial_states,
 )
-from abcselect.engine import ActiveSet, _next_probe_sizes, run_abc
+from abcselect.engine import ActiveSet, run_abc
 from abcselect.scheduler import (
     GradientEstimate,
     GradientSum,
     SchedulerKind,
     gradient_ci_pick,
+    next_sample_size,
     ucb_pick,
 )
 
@@ -52,6 +53,22 @@ def reference_run(configs, backend, params, scheduler):
 
     def active_configs():
         return [configs[i - 1] for i in sorted(active_set)]
+
+    def next_sizes(cfg):
+        # Each size grown from the last probe's; full test data at full train data.
+        if not cfg.history:
+            s_tr, s_te = params.initial_train_size, params.initial_test_size
+        else:
+            last = cfg.history[-1]
+            s_tr = next_sample_size(
+                last.train_sample_size, params.step_factor_c, params.max_train_size
+            )
+            s_te = next_sample_size(
+                last.test_sample_size, params.step_factor_c, params.max_test_size
+            )
+        if s_tr >= params.max_train_size:
+            s_te = params.max_test_size
+        return s_tr, s_te
 
     def saturated(cfg):
         return bool(cfg.history) and cfg.history[-1].train_sample_size >= params.max_train_size
@@ -94,7 +111,7 @@ def reference_run(configs, backend, params, scheduler):
 
     while len(active_set) > 1:
         cfg = choose()
-        s_tr, s_te = _next_probe_sizes(cfg, params)
+        s_tr, s_te = next_sizes(cfg)
         outcome = backend.probe(cfg.id, s_tr, s_te)
         round_index += 1
         if s_tr >= params.max_train_size and s_te >= params.max_test_size:

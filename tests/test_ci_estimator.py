@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from abcselect.ci_estimator import clamp_to_cached, lower_bound, upper_bound
-from abcselect.core import ConfidenceInterval, ProbeOutcome, clamp_interval
+from abcselect.ci_estimator import IntervalRule, clamp_to_cached, lower_bound, upper_bound
+from abcselect.core import ConfidenceInterval, ProbeOutcome, RunParams, clamp_interval
 from abcselect.engine import update_interval
 
 from conftest import bound_params
@@ -188,3 +188,76 @@ def test_update_interval():
     # A test sample beyond the full test set is rejected.
     with pytest.raises(ValueError):
         update_interval(ProbeOutcome(1000, 100_001, 0.9, 0.8, 1.0), fresh, params)
+
+
+def reference_bounds(outcome, params):
+    """Both unclamped bounds, each computed from ``params`` on every call,
+    as a run did before :class:`IntervalRule`."""
+    n, delta = params.n_configs, params.delta
+    upper_log = math.log(4.0 * n * n / delta)
+    upper = (
+        outcome.train_accuracy
+        + math.sqrt(upper_log / (2.0 * outcome.train_sample_size))
+        + math.sqrt(upper_log / (2.0 * params.max_test_size))
+    )
+    lower_log = math.log(2.0 * n * n / delta)
+    lower = outcome.test_accuracy - math.sqrt(lower_log / (2.0 * outcome.test_sample_size))
+    return lower, upper
+
+
+def reference_update(outcome, cached, params):
+    """The interval update from :func:`reference_bounds`, with the snapshot
+    clamp by ``max``/``min`` alone."""
+    s_tr, s_te = outcome.train_sample_size, outcome.test_sample_size
+    if s_tr >= params.max_train_size and s_te >= params.max_test_size:
+        raw = clamp_interval(outcome.test_accuracy, outcome.test_accuracy)
+    else:
+        raw = clamp_interval(*reference_bounds(outcome, params))
+    if raw.upper < cached.lower:
+        return raw, ConfidenceInterval(cached.lower, cached.lower), True
+    if raw.lower > cached.upper:
+        return raw, ConfidenceInterval(cached.upper, cached.upper), True
+    nested = ConfidenceInterval(max(raw.lower, cached.lower), min(raw.upper, cached.upper))
+    return raw, nested, False
+
+
+def bits(result):
+    """``(raw, nested, disjoint)`` with every endpoint as its exact bits
+    (``float.hex`` tells -0.0 from 0.0)."""
+    raw, nested, disjoint = result
+    return (raw.lower.hex(), raw.upper.hex(), nested.lower.hex(), nested.upper.hex(), disjoint)
+
+
+unit = st.floats(-0.0, 1.0)
+
+
+@st.composite
+def rule_cases(draw):
+    n = draw(st.integers(1, 10_000))
+    delta = draw(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([5e-324, 1e-300, 1.0 - 2.0**-53, 0.5])
+    )
+    max_train, max_test = draw(st.integers(1, 10**12)), draw(st.integers(1, 10**9))
+    if draw(st.booleans()):  # a probe on the full data
+        s_tr, s_te = max_train, max_test
+    else:  # large samples too, whose bounds fall inside [0, 1]
+        s_tr = draw(st.integers(1, max_train) | st.integers(max_train // 2 + 1, max_train))
+        s_te = draw(st.integers(1, max_test) | st.integers(max_test // 2 + 1, max_test))
+    outcome = ProbeOutcome(s_tr, s_te, draw(unit), draw(unit), 1.0)
+    a, b = draw(unit), draw(unit)
+    cached = ConfidenceInterval(min(a, b), max(a, b))  # disjoint from raw at times
+    params = RunParams(0.01, delta, n, 1, 1, 2.0, 1.0, max_train, max_test, 0)
+    return outcome, cached, params
+
+
+@settings(max_examples=500, deadline=None)
+@given(rule_cases())
+def test_interval_rule_matches_per_call_bounds_bit_for_bit(case):
+    outcome, cached, params = case
+    lower, upper = reference_bounds(outcome, params)
+    assert lower_bound(outcome, params).hex() == lower.hex()
+    assert upper_bound(outcome, params).hex() == upper.hex()
+    expected = bits(reference_update(outcome, cached, params))
+    assert bits(IntervalRule(params).update(outcome, cached)) == expected
+    assert bits(update_interval(outcome, cached, params)) == expected

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -311,8 +312,15 @@ def test_experiment_non_numeric_grid_entry_exits_1(tmp_path, capsys, key, grid):
 
 @pytest.mark.parametrize(
     "cost_model",
-    [5, [5, 5], [[1.0, 1.0]], [[1.0, 1.0], [1.0]], [[1.0, 1.0], [1.0, "a"]]],
-    ids=["number", "flat_list", "too_few_pairs", "short_pair", "non_numeric"],
+    [
+        5, [5, 5], [[1.0, 1.0]], [[1.0, 1.0], [1.0]], [[1.0, 1.0], [1.0, "a"]],
+        [[math.nan, 1.0], [1.0, 1.0]], [[-1e-6, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 0]],
+        [[1.0, math.inf], [1.0, 1.0]],
+    ],
+    ids=[
+        "number", "flat_list", "too_few_pairs", "short_pair", "non_numeric",
+        "kappa_nan", "kappa_negative", "alpha_zero", "alpha_infinite",
+    ],
 )
 def test_run_bad_cost_model_exits_1(tmp_path, capsys, cost_model):
     (tmp_path / "data.csv").write_text("0.1,0\n0.9,1\n0.2,0\n0.8,1\n")

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -83,6 +85,8 @@ class TestValidation:
             make_outcome(a_tr=1.2)
         with pytest.raises(ValueError):
             make_outcome(cost=-1.0)
+        with pytest.raises(ValueError):
+            make_outcome(cost=float("nan"))
 
 
 class TestConfigurationState:
@@ -143,6 +147,38 @@ class TestTrace:
 
         rounds = load_trace_rounds(path)
         assert rounds == trace.rounds
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 10**12), st.integers(1, 10**12),
+                st.floats(-0.0, 1.0), st.floats(-0.0, 1.0),
+                st.floats(-0.0) | st.just(math.inf), st.floats(-0.0, 1.0), st.floats(-0.0, 1.0),
+                st.lists(st.integers(1, 10**6), max_size=4, unique=True),
+                st.booleans(),
+            ),
+            max_size=5,
+        )
+    )
+    def test_jsonl_lines_are_json_dumps_of_records(self, rows):
+        trace = RunTrace()
+        for i, (s_tr, s_te, a_tr, a_te, cost, lo, hi, pruned, np_acc) in enumerate(rows, 1):
+            if np_acc:  # as the synthetic backend's binomial draw gives them
+                a_tr, a_te = np.float64(a_tr), np.float64(a_te)
+            outcome = ProbeOutcome(s_tr, s_te, a_tr, a_te, cost)
+            ci = ConfidenceInterval(min(lo, hi), max(lo, hi))
+            trace.rounds.append(TraceRound(i, i, outcome, ci, 7, tuple(pruned), bool(pruned)))
+        expected = "".join(json.dumps(r.to_record()) + "\n" for r in trace.rounds)
+        assert trace.to_jsonl() == expected
+
+    def test_jsonl_of_int_and_bool_values_is_json_dumps(self):
+        # Not what a run records, but a row may hold them.
+        rows = [
+            TraceRound(1, 2, ProbeOutcome(10, 20, 1, 0, 3), ConfidenceInterval(0, 1), 2, (), False),
+            TraceRound(2, 1, ProbeOutcome(10, 20, True, 0.5, 0), FULL_INTERVAL, 1, (2, 3), True),
+        ]
+        trace = RunTrace(rounds=rows)
+        assert trace.to_jsonl() == "".join(json.dumps(r.to_record()) + "\n" for r in rows)
 
     def test_wall_cost_accumulates(self):
         trace = RunTrace()

@@ -145,6 +145,19 @@ class TestRunAbc:
         with pytest.raises(BackendError, match="round 1"):
             run_abc(states, backend, params)
 
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1), (-1, 0)])
+    def test_outcome_at_other_sizes_is_a_backend_error(self, shift):
+        class ResizingBackend(StubBackend):
+            def probe(self, config_id, s_tr, s_te):
+                return super().probe(config_id, s_tr + shift[0], s_te + shift[1])
+
+        backend = ResizingBackend([0.9, 0.7])
+        params = RunParams(0.01, 0.5, 2, 100, 200, 2.0, 1.0,
+                           backend.max_train_size, backend.max_test_size, 0)
+        states = initial_states(list(backend.labels), params)
+        with pytest.raises(BackendError, match=r"round 1 for config 1 \(s_tr=100, s_te=200\)"):
+            run_abc(states, backend, params)
+
     def test_setup_validation(self):
         backend = StubBackend([0.9, 0.7])
         params = RunParams(0.01, 0.5, 3, 100, 200, 2.0, 1.0,

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -489,6 +490,17 @@ class TestLearnerBackend:
         out = backend.probe(1, 100, 100)
         assert out.cost == pytest.approx(200.0)
         assert backend.estimate_cost(2, 400, 100) == pytest.approx(60.0)
+
+    @pytest.mark.parametrize(
+        "pair", [(math.nan, 1.0), (-1e-6, 1.0), (0.0, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                 (1.0, 0.0), (1.0, math.inf)],
+        ids=["kappa_nan", "kappa_negative", "kappa_zero", "kappa_inf", "alpha_nan",
+             "alpha_zero", "alpha_inf"],
+    )
+    def test_rejects_cost_model_values(self, pair):
+        learners = [LearnerSpec(kind="majority_class"), LearnerSpec(kind="decision_stump")]
+        with pytest.raises(ValueError, match="cost_model"):
+            LearnerBackend(separable_handle(n=200), learners, cost_model=[(1.0, 1.0), pair])
 
     def test_wall_time_cost_without_model(self):
         handle = separable_handle(n=2000)

@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from abcselect.core import ConfidenceInterval, ConfigurationState, ProbeOutcome
+from abcselect.core import ConfidenceInterval, ConfigurationState, ProbeOutcome, RunParams
 from abcselect.engine import ActiveSet
 from abcselect.scheduler import (
     GradientEstimate,
@@ -16,6 +16,7 @@ from abcselect.scheduler import (
     optimal_step_size,
     pick_next,
     round_robin_pick,
+    size_ladder,
     sweeps,
     ucb_pick,
 )
@@ -71,6 +72,42 @@ class TestNextSampleSize:
         if current < cap:
             assert grown > current
         assert next_sample_size(cap, c, cap) == cap
+
+
+@st.composite
+def ladder_params(draw):
+    max_train, max_test = draw(st.integers(1, 3000)), draw(st.integers(1, 3000))
+    c = draw(
+        st.floats(1.0, 1.001, exclude_min=True)  # +1 steps, then near-1 growth
+        | st.floats(1.001, 16.0)
+        | st.sampled_from([1.0 + 2.0**-52, 2.0])
+    )
+    train0 = draw(st.integers(1, max_train) | st.just(max_train))  # at the full size too
+    test0 = draw(st.integers(1, max_test))
+    return RunParams(0.01, 0.5, 2, train0, test0, c, 1.0, max_train, max_test, 0)
+
+
+@given(ladder_params())
+def test_size_ladder_iterates_next_sample_size(params):
+    # Each probe's sizes grown from the last probe's, full test data at full
+    # train data, until a probe at full train data.
+    expected, s_tr, s_te = [], params.initial_train_size, params.initial_test_size
+    while True:
+        if s_tr >= params.max_train_size:
+            expected.append((s_tr, params.max_test_size))
+            break
+        expected.append((s_tr, s_te))
+        s_tr = next_sample_size(s_tr, params.step_factor_c, params.max_train_size)
+        s_te = next_sample_size(s_te, params.step_factor_c, params.max_test_size)
+    assert list(size_ladder(params)) == expected
+
+
+def test_size_ladder_caps_train_before_test():
+    params = RunParams(0.01, 0.5, 2, 100, 100, 2.0, 1.0, 300, 10**6, 0)
+    assert list(size_ladder(params)) == [(100, 100), (200, 200), (300, 10**6)]
+    # The test size may reach its cap first; the train size still grows.
+    params = RunParams(0.01, 0.5, 2, 100, 100, 2.0, 1.0, 10**6, 300, 0)
+    assert list(size_ladder(params))[:4] == [(100, 100), (200, 200), (400, 300), (800, 300)]
 
 
 def gradient_sum(estimates):

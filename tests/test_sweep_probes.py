@@ -178,8 +178,8 @@ def test_unused_speculative_error_does_not_fail_the_run(
     sweep_keys = engine._sweep_keys
     rounds = []
 
-    def with_bogus(state, cfg):
-        keys = sweep_keys(state, cfg)
+    def with_bogus(state, cfg, *args):
+        keys = sweep_keys(state, cfg, *args)
         yield next(keys)
         if not rounds:
             yield bogus

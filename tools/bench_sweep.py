@@ -33,19 +33,26 @@ Each pass, in a fresh process, records:
   for seeds 1 to 5: wall seconds and the SHA-256 of the trace and report
   each run writes, and the peak RSS of the pass's reaped child processes
   (``RUSAGE_CHILDREN``: the sweep-probe workers, which the benchmark's
-  ``RUSAGE_SELF`` figure does not see).
+  ``RUSAGE_SELF`` figure does not see);
+* wide_synthetic end to end: the benchmark's ``wide_synthetic`` unit
+  (``abcbench/workloads.py``: one gradient-CI ``run_abc`` over n = 2000
+  curves, the audit of its trace and the trace's SHA-256) for seeds 1 to 5,
+  each the median of several units: unit seconds, the trace's SHA-256, and
+  on that trace the audit's replay µs per round and ``RunTrace.to_jsonl``
+  ms.
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
 host. µs per round is the median over repeats; the family table is
 machine-independent and is taken once per side; the experiment's wall
-seconds, the learner timings and the learner_csv wall seconds (summed over
-the seeds) are kept per pass, so that pass i of the two sides is a pair.
-The record also carries the machine, the number of traces, experiment
-metrics rows, SGD weight digests and learner_csv runs that differ between
-the sides (none may move), and the gate: µs per round at the largest n over
-that at the smallest, per scheduler. ``--quick`` runs a tiny version, as a
-self-test.
+seconds, the learner timings, the learner_csv wall seconds and the
+wide_synthetic unit seconds, audit µs per round and to_jsonl ms (each
+summed over the seeds) are kept per pass, so that pass i of the two sides
+is a pair. The record also carries the machine, the number of traces,
+experiment metrics rows, SGD weight digests, learner_csv runs and
+wide_synthetic traces that differ between the sides (none may move), and
+the gate: µs per round at the largest n over that at the smallest, per
+scheduler. ``--quick`` runs a tiny version, as a self-test.
 """
 
 from __future__ import annotations
@@ -78,17 +85,22 @@ LEARNER_ROWS, LEARNER_SEED = 100_000, 12345
 # Seeds and rows of the learner_csv runs; the quick rows are the benchmark's
 # own quick size.
 CSV_SEEDS, QUICK_CSV_SEEDS, CSV_ROWS, QUICK_CSV_ROWS = (1, 2, 3, 4, 5), (1,), 100_000, 3000
+# Seeds and units per seed of the wide_synthetic runs; the quick ones run
+# the benchmark's own quick size (n = 60).
+WIDE_SEEDS, QUICK_WIDE_SEEDS, WIDE_UNITS = (1, 2, 3, 4, 5), (1,), 5
 
 
 def _worker(
     src: str, ns: tuple[int, ...], family_runs: int, min_seconds: float, experiment_reps: int,
     learner_sizes: tuple[int, ...], csv_seeds: tuple[int, ...], csv_rows: int,
+    wide_seeds: tuple[int, ...], wide_units: int,
 ) -> dict:
     """One pass over the program under ``src``, with up to ``family_runs``
     runs per family and scheduler, ``experiment_reps`` repetitions per
-    experiment cell (0: no experiment), learner probes at ``learner_sizes``
-    and learner_csv runs for ``csv_seeds`` on ``csv_rows`` rows; returns the
-    measurements."""
+    experiment cell (0: no experiment), learner probes at ``learner_sizes``,
+    learner_csv runs for ``csv_seeds`` on ``csv_rows`` rows and
+    ``wide_units`` wide_synthetic units per seed of ``wide_seeds`` (the
+    quick size when ``wide_units`` is 1); returns the measurements."""
     sys.path.insert(0, src)
     import dataclasses
     import logging
@@ -218,8 +230,9 @@ def _worker(
             }
     learner = _learner_probes(learner_sizes, min_seconds) if learner_sizes else {}
     learner_csv = _learner_csv(Path(src).parent, csv_seeds, csv_rows) if csv_seeds else {}
+    wide = _wide(Path(src).parent, wide_seeds, wide_units) if wide_seeds else {}
     return {"sweep": sweep, "families": families, "experiment": experiment, "learner": learner,
-            "learner_csv": learner_csv}
+            "learner_csv": learner_csv, "wide": wide}
 
 
 # The acceptance suite's criterion-11 grid: four SGD variants, a stump and the
@@ -324,6 +337,44 @@ def _learner_csv(root: Path, seeds: tuple[int, ...], rows: int) -> dict:
     return {"runs": runs, "wall_s": wall_s, "children_peak_rss_mb": children}
 
 
+def _wide(root: Path, seeds: tuple[int, ...], units: int) -> dict:
+    """The benchmark's wide_synthetic unit, written by the checkout's own
+    ``abcbench``, ``units`` times per seed: per seed the median unit
+    seconds, rounds and trace SHA-256, and the medians of the audit's replay
+    and ``to_jsonl`` timed apart on the unit's trace; per pass their sums
+    over the seeds (audit time over rounds)."""
+    import gc
+
+    sys.path.insert(0, str(root / "abcbench"))
+    import workloads
+
+    from abcselect import harness
+
+    runs, unit_s, audit_s, jsonl_s, rounds = {}, 0.0, 0.0, 0.0, 0
+    for seed in seeds:
+        inp = workloads.wide_setup(seed, quick=units == 1)
+        walls, audits, jsonls = [], [], []
+        for _ in range(units):
+            gc.collect()  # as the benchmark does before each unit
+            start = time.perf_counter()
+            out = workloads.wide_unit(inp)
+            walls.append(time.perf_counter() - start)
+            trace = out["trace"]
+            start = time.perf_counter()
+            harness.structural_audit(trace.rounds, inp.params)
+            audits.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            trace.to_jsonl()
+            jsonls.append(time.perf_counter() - start)
+        runs[str(seed)] = {"rounds": trace.n_rounds, "trace_sha256": out["digest"]}
+        unit_s += statistics.median(walls)
+        audit_s += statistics.median(audits)
+        jsonl_s += statistics.median(jsonls)
+        rounds += trace.n_rounds
+    return {"runs": runs, "unit_s": unit_s, "audit_us_per_round": audit_s / rounds * 1e6,
+            "jsonl_ms": jsonl_s * 1e3}
+
+
 def _machine() -> dict:
     import numpy
 
@@ -346,12 +397,13 @@ def _machine() -> dict:
 
 
 def _pass(root: Path, ns, family_runs: int, min_seconds: float, experiment_reps: int,
-          learner_sizes, csv_seeds, csv_rows: int) -> dict:
+          learner_sizes, csv_seeds, csv_rows: int, wide_seeds, wide_units: int) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root / "src"),
            "--ns", ",".join(map(str, ns)), "--family-runs", str(family_runs),
            "--min-seconds", str(min_seconds), "--experiment-reps", str(experiment_reps),
            "--learner-sizes", ",".join(map(str, learner_sizes)),
-           "--csv-seeds", ",".join(map(str, csv_seeds)), "--csv-rows", str(csv_rows)]
+           "--csv-seeds", ",".join(map(str, csv_seeds)), "--csv-rows", str(csv_rows),
+           "--wide-seeds", ",".join(map(str, wide_seeds)), "--wide-units", str(wide_units)]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -422,6 +474,16 @@ def _side(passes: list[dict]) -> dict:
             "children_peak_rss_mb_passes": [round(s["children_peak_rss_mb"], 2) for s in samples],
             "runs": samples[0]["runs"],
         }
+    wide = {}
+    if passes[0]["wide"]:
+        samples = [p["wide"] for p in passes]
+        if any(s["runs"] != samples[0]["runs"] for s in samples):
+            raise SystemExit("wide_synthetic: traces differ between passes")
+        wide = {"runs": samples[0]["runs"]}
+        for key, digits in (("unit_s", 4), ("audit_us_per_round", 2), ("jsonl_ms", 2)):
+            values = [s[key] for s in samples]
+            wide[key] = round(statistics.median(values), digits)
+            wide[f"{key}_passes"] = [round(v, digits) for v in values]
     gate = {}
     for kind, cells in sweep.items():
         ns = sorted(cells, key=int)
@@ -429,7 +491,7 @@ def _side(passes: list[dict]) -> dict:
         gate[kind] = {"ratio": round(ratio, 2), "within_2x": ratio <= 2.0,
                       "n": [int(ns[0]), int(ns[-1])]}
     return {"sweep": sweep, "families": families, "experiment": experiment,
-            "learner": learner, "learner_csv": learner_csv, "gate": gate}
+            "learner": learner, "learner_csv": learner_csv, "wide": wide, "gate": gate}
 
 
 def _moved(parent: dict, change: dict) -> dict:
@@ -459,11 +521,15 @@ def _moved(parent: dict, change: dict) -> dict:
     old_csv = parent["learner_csv"].get("runs", {})
     new_csv = change["learner_csv"].get("runs", {})
     moved_csv = sum(old_csv.get(seed) != run for seed, run in new_csv.items())
+    old_wide = parent["wide"].get("runs", {})
+    new_wide = change["wide"].get("runs", {})
+    moved_wide = sum(old_wide.get(seed) != run for seed, run in new_wide.items())
     return {"sweep_cells": len(sweep_cells), "moved_sweep_cells": moved_sweep,
             "family_runs": runs, "moved_family_runs": moved_runs,
             "experiment_rows": rows, "moved_experiment_rows": moved_rows,
             "sgd_weights": weights, "moved_sgd_weights": moved_weights,
-            "learner_csv_runs": len(new_csv), "moved_learner_csv_runs": moved_csv}
+            "learner_csv_runs": len(new_csv), "moved_learner_csv_runs": moved_csv,
+            "wide_traces": len(new_wide), "moved_wide_traces": moved_wide}
 
 
 def _pair(old: list[float], new: list[float], unit: str, digits: int) -> dict:
@@ -520,13 +586,17 @@ def main() -> int:
     parser.add_argument("--learner-sizes", default="", help=argparse.SUPPRESS)
     parser.add_argument("--csv-seeds", default="", help=argparse.SUPPRESS)
     parser.add_argument("--csv-rows", type=int, default=0, help=argparse.SUPPRESS)
+    parser.add_argument("--wide-seeds", default="", help=argparse.SUPPRESS)
+    parser.add_argument("--wide-units", type=int, default=0, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         ns = tuple(int(n) for n in args.ns.split(","))
         learner_sizes = tuple(int(s) for s in args.learner_sizes.split(",") if s)
         csv_seeds = tuple(int(s) for s in args.csv_seeds.split(",") if s)
+        wide_seeds = tuple(int(s) for s in args.wide_seeds.split(",") if s)
         result = _worker(args.worker, ns, args.family_runs, args.min_seconds,
-                         args.experiment_reps, learner_sizes, csv_seeds, args.csv_rows)
+                         args.experiment_reps, learner_sizes, csv_seeds, args.csv_rows,
+                         wide_seeds, args.wide_units)
         print(json.dumps(result))
         return 0
     if args.repeats < 1:
@@ -535,10 +605,12 @@ def main() -> int:
     ns, family_runs, min_seconds, repeats = NS, max(FAMILY_RUNS.values()), 0.5, args.repeats
     experiment_reps, learner_sizes = EXPERIMENT_REPS, LEARNER_SIZES
     csv_seeds, csv_rows = CSV_SEEDS, CSV_ROWS
+    wide_seeds, wide_units = WIDE_SEEDS, WIDE_UNITS
     if args.quick:
         ns, family_runs, min_seconds, repeats = QUICK_NS, 2, 0.01, 1
         experiment_reps, learner_sizes = 1, QUICK_LEARNER_SIZES
         csv_seeds, csv_rows = QUICK_CSV_SEEDS, QUICK_CSV_ROWS
+        wide_seeds, wide_units = QUICK_WIDE_SEEDS, 1
     roots = {"change": Path.cwd()}
     if args.parent:
         roots["parent"] = Path(args.parent).resolve()
@@ -553,7 +625,8 @@ def main() -> int:
         for name in order:
             passes[name].append(
                 _pass(roots[name], ns, family_runs if rep == 0 else 0, min_seconds,
-                      experiment_reps, learner_sizes, csv_seeds, csv_rows)
+                      experiment_reps, learner_sizes, csv_seeds, csv_rows, wide_seeds,
+                      wide_units)
             )
             print(f"pass {rep + 1}/{repeats} {name} done at "
                   f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
@@ -572,6 +645,12 @@ def main() -> int:
         record["learner_csv_pairs"] = _pair(
             [p["learner_csv"]["wall_s"] for p in passes["parent"]],
             [p["learner_csv"]["wall_s"] for p in passes["change"]], "s", 3)
+        record["wide_pairs"] = {
+            key: _pair([p["wide"][key] for p in passes["parent"]],
+                       [p["wide"][key] for p in passes["change"]], unit, digits)
+            for key, unit, digits in (("unit_s", "s", 4), ("audit_us_per_round", "us", 2),
+                                      ("jsonl_ms", "ms", 2))
+        }
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
