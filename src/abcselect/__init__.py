@@ -6,8 +6,8 @@ confidence-interval based progressive sampling and pruning instead of
 fully training every candidate.
 """
 
-from .baselines import HalvingParams, full_run, relative_accuracy_loss, successive_halving
-from .ci_estimator import lower_bound, upper_bound
+from .baselines import full_run, relative_accuracy_loss, successive_halving
+from .ci_estimator import IntervalRule
 from .core import (
     BackendError,
     ConfidenceInterval,
@@ -26,7 +26,6 @@ from .engine import (
     build_report,
     run_abc,
     select_with_budget,
-    update_interval,
     verify_selection,
 )
 from .harness import (
@@ -45,7 +44,6 @@ from .probes import (
     ProbeBackend,
     SyntheticBackend,
     SyntheticInstance,
-    full_evaluate,
     load_csv_dataset,
     probe_learner,
     probe_synthetic,

@@ -3,40 +3,17 @@ configuration, and successive halving on a doubling sample schedule."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BackendError, ConfidenceInterval, RunTrace, TraceRound, clamp_interval
+from .core import BackendError, RunTrace, TraceRound, check_run_setting, clamp_interval
 from .probes import ProbeBackend
 from .scheduler import next_sample_size
 
 __all__ = [
-    "HalvingParams",
     "full_run",
     "relative_accuracy_loss",
     "successive_halving",
 ]
-
-
-@dataclass(frozen=True)
-class HalvingParams:
-    """Successive-halving knobs: initial sizes and the per-round growth factor."""
-
-    initial_train_size: int
-    initial_test_size: int
-    growth_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.initial_train_size < 1 or self.initial_test_size < 1:
-            raise ValueError("initial sizes must be >= 1")
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth_factor must be > 1")
-
-    @classmethod
-    def from_initial_train(cls, initial_train_size: int) -> "HalvingParams":
-        """Default sizing: the initial test sample is twice the train sample."""
-        return cls(initial_train_size, 2 * initial_train_size)
 
 
 def full_run(
@@ -62,10 +39,13 @@ def full_run(
 def successive_halving(
     config_ids: Sequence[int],
     backend: ProbeBackend,
-    params: HalvingParams,
+    initial_train_size: int,
+    initial_test_size: int,
+    growth_factor: float = 2.0,
 ) -> tuple[int, RunTrace]:
     """Repeatedly probe the survivors, keep the top half by sampled test
-    accuracy, and double the sample sizes; the last survivor is selected.
+    accuracy, and grow the sample sizes by ``growth_factor``, from initial
+    sizes at most the backend's full sizes; the last survivor is selected.
 
     Ranking uses the probe's test accuracy (a point estimate); ties keep the
     lower id. Odd survivor counts round up, so ceil(log2 n) rounds happen.
@@ -74,9 +54,11 @@ def successive_halving(
     """
     if not config_ids:
         raise ValueError("need at least one configuration")
+    check_run_setting("initial_train_size", initial_train_size)
+    check_run_setting("initial_test_size", initial_test_size)
+    check_run_setting("step_factor_c", growth_factor, "growth_factor")
     remaining = sorted(config_ids)
-    s_tr = min(params.initial_train_size, backend.max_train_size)
-    s_te = min(params.initial_test_size, backend.max_test_size)
+    s_tr, s_te = initial_train_size, initial_test_size
     trace = RunTrace()
     round_index = 0
     best_acc: dict[int, float] = {}
@@ -114,8 +96,8 @@ def successive_halving(
             )
             if last_in_sweep:
                 remaining = [i for i in remaining if i in survivors]
-        s_tr = next_sample_size(s_tr, params.growth_factor, backend.max_train_size)
-        s_te = next_sample_size(s_te, params.growth_factor, backend.max_test_size)
+        s_tr = next_sample_size(s_tr, growth_factor, backend.max_train_size)
+        s_te = next_sample_size(s_te, growth_factor, backend.max_test_size)
 
     trace.final_selection = remaining[0]
     return remaining[0], trace

@@ -8,8 +8,9 @@ training sample size and the full test set size; the lower bound starts
 from the test accuracy on the sampled test set and subtracts a deviation
 term for the test sample size. The number of configurations, delta and the
 full test set size come from the run's :class:`~abcselect.core.RunParams`,
-which validates them. :class:`IntervalRule` combines these pieces into the
-post-probe interval; a run builds one.
+which validates them. :class:`IntervalRule` computes both bounds and
+the post-probe interval from them; a run builds one, and nothing else
+computes a bound.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .core import ConfidenceInterval, ProbeOutcome, RunParams, clamp_interval
 __all__ = [
     "IntervalRule",
     "clamp_to_cached",
-    "lower_bound",
-    "upper_bound",
 ]
 
 
@@ -37,16 +36,41 @@ class IntervalRule:
         self.max_sizes = (params.max_train_size, params.max_test_size)
 
     def upper(self, outcome: ProbeOutcome) -> float:
+        """Unclamped upper confidence bound of the real test accuracy.
+
+        acc_train + sqrt(ln(4 n^2 / delta) / (2 s_tr))
+                  + sqrt(ln(4 n^2 / delta) / (2 full_test_size))
+
+        Nonincreasing in s_tr and in the full test size, nondecreasing in the
+        number of configurations and in the train accuracy. The caller clamps
+        into [0, 1].
+        """
         root = math.sqrt(self.upper_log / (2.0 * outcome.train_sample_size))
         return outcome.train_accuracy + root + self.full_test_term
 
     def lower(self, outcome: ProbeOutcome) -> float:
+        """Unclamped lower confidence bound of the real test accuracy.
+
+        acc_test - sqrt(ln(2 n^2 / delta) / (2 s_te))
+
+        Always <= the probe's test accuracy; nondecreasing in s_te,
+        nonincreasing in the number of configurations.
+        """
         return outcome.test_accuracy - math.sqrt(self.lower_log / (2.0 * outcome.test_sample_size))
 
     def update(
         self, outcome: ProbeOutcome, cached: ConfidenceInterval
     ) -> tuple[ConfidenceInterval, ConfidenceInterval, bool]:
-        """:func:`~abcselect.engine.update_interval` under this run's parameters."""
+        """``(raw, nested, disjoint)`` after a probe of a configuration whose
+        snapshot interval is ``cached``.
+
+        ``raw`` is the exact point ``acc_test`` for a probe at full training
+        and test data, the two confidence bounds otherwise, clamped into
+        [0, 1]; ``nested`` and ``disjoint`` are :func:`clamp_to_cached` of
+        ``raw`` into ``cached``. A test sample above the full test set, which
+        only a trace read from outside the program can hold, raises
+        ``ValueError``.
+        """
         (max_train, max_test), s_te = self.max_sizes, outcome.test_sample_size
         if s_te > max_test:
             raise ValueError(f"test sample size {s_te} exceeds the full test set size {max_test}")
@@ -55,30 +79,6 @@ class IntervalRule:
         else:
             raw = clamp_interval(self.lower(outcome), self.upper(outcome))
         return (raw, *clamp_to_cached(raw, cached))
-
-
-def upper_bound(outcome: ProbeOutcome, params: RunParams) -> float:
-    """Unclamped upper confidence bound of the real test accuracy.
-
-    acc_train + sqrt(ln(4 n^2 / delta) / (2 s_tr))
-              + sqrt(ln(4 n^2 / delta) / (2 full_test_size))
-
-    Nonincreasing in s_tr and in the full test size, nondecreasing in the
-    number of configurations and in the train accuracy. The caller clamps
-    into [0, 1].
-    """
-    return IntervalRule(params).upper(outcome)
-
-
-def lower_bound(outcome: ProbeOutcome, params: RunParams) -> float:
-    """Unclamped lower confidence bound of the real test accuracy.
-
-    acc_test - sqrt(ln(2 n^2 / delta) / (2 s_te))
-
-    Always <= the probe's test accuracy; nondecreasing in s_te,
-    nonincreasing in the number of configurations.
-    """
-    return IntervalRule(params).lower(outcome)
 
 
 def clamp_to_cached(

@@ -17,8 +17,8 @@ import os
 import sys
 from pathlib import Path
 
-from .baselines import HalvingParams, full_run, successive_halving
-from .core import BackendError, RunParams, initial_states, load_trace_rounds
+from .baselines import full_run, successive_halving
+from .core import BackendError, RunParams, RunTrace, initial_states, load_trace_rounds
 from .engine import build_report, run_abc, select_with_budget, verify_selection
 from .harness import (
     ExperimentSpec,
@@ -149,28 +149,20 @@ def _parse_source(
 
 
 def _build_params(conf: dict, backend, seed: int) -> RunParams:
-    epsilon = _number(conf, "epsilon", 0.01, "params")
-    delta = _number(conf, "delta", 0.5, "params")
-    train0 = _number(conf, "initial_train_size", 1000, "params", int)
-    test0 = _number(conf, "initial_test_size", 2000, "params", int)
     alpha = _number(conf, "alpha_cost_exponent", 1.0, "params")
-    if "step_factor_c" in conf:
-        c = _number(conf, "step_factor_c", 0.0, "params")
-    elif alpha > 0.0:
-        c = optimal_step_size(alpha)
-    else:
-        raise ConfigError(f"key 'alpha_cost_exponent' in params must be > 0, got {alpha}")
     try:
-        return RunParams(
-            epsilon=epsilon,
-            delta=delta,
-            n_configs=backend.n_configs,
-            initial_train_size=min(train0, backend.max_train_size),
-            initial_test_size=min(test0, backend.max_test_size),
+        if "step_factor_c" in conf:
+            c = _number(conf, "step_factor_c", 0.0, "params")
+        else:
+            c = optimal_step_size(alpha)
+        return RunParams.for_backend(
+            backend,
+            epsilon=_number(conf, "epsilon", 0.01, "params"),
+            delta=_number(conf, "delta", 0.5, "params"),
+            initial_train_size=_number(conf, "initial_train_size", 1000, "params", int),
+            initial_test_size=_number(conf, "initial_test_size", 2000, "params", int),
             step_factor_c=c,
             alpha_cost_exponent=alpha,
-            max_train_size=backend.max_train_size,
-            max_test_size=backend.max_test_size,
             seed=seed,
         )
     except ValueError as exc:
@@ -280,12 +272,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if method == "successive_halving":
-        hp = HalvingParams(
-            initial_train_size=params.initial_train_size,
-            initial_test_size=params.initial_test_size,
-            growth_factor=params.step_factor_c,
+        selected, trace = successive_halving(
+            ids, backend, params.initial_train_size, params.initial_test_size,
+            params.step_factor_c,
         )
-        selected, trace = successive_halving(ids, backend, hp)
         trace.params = params
         trace.write_jsonl(trace_path)
         report = build_report(selected, trace, backend, params, method="successive_halving")
@@ -415,8 +405,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise BackendError(
             "report lacks ground-truth accuracies; rerun with --structural-only"
         )
-    from .core import RunTrace  # local alias for assembling the audited trace
-
     trace = RunTrace(
         rounds=list(rounds),
         params=params,

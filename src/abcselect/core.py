@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .probes import ProbeBackend
 
 __all__ = [
     "BackendError",
@@ -17,6 +21,7 @@ __all__ = [
     "RunParams",
     "RunTrace",
     "TraceRound",
+    "check_run_setting",
     "clamp_interval",
     "initial_states",
     "load_trace_rounds",
@@ -25,6 +30,26 @@ __all__ = [
 
 class BackendError(Exception):
     """A probe backend failed; carries the round context when raised by the engine."""
+
+
+# The range of each run setting that a run and an experiment share: the
+# condition, which NaN fails, and how the error message states it.
+_SETTING_RANGES = {
+    "epsilon": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "delta": (lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+    "initial_train_size": (lambda x: x >= 1, ">= 1"),
+    "initial_test_size": (lambda x: x >= 1, ">= 1"),
+    "step_factor_c": (lambda x: 1.0 < x < math.inf, "> 1 and finite"),
+    "alpha_cost_exponent": (lambda x: x > 0.0, "> 0"),
+}
+
+
+def check_run_setting(key: str, value: float, name: str | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is in the range of the run
+    setting ``key``; the message calls the value ``name`` (``key`` by default)."""
+    in_range, expected = _SETTING_RANGES[key]
+    if not in_range(value):
+        raise ValueError(f"{name or key} must be {expected}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -49,44 +74,49 @@ class RunParams:
     seed: int
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        for key in _SETTING_RANGES:
+            check_run_setting(key, getattr(self, key))
         if self.n_configs < 1:
             raise ValueError(f"n_configs must be >= 1, got {self.n_configs}")
-        if not 1 <= self.initial_train_size <= self.max_train_size:
-            raise ValueError(
-                f"initial_train_size {self.initial_train_size} must be in "
-                f"[1, {self.max_train_size}]"
-            )
-        if not 1 <= self.initial_test_size <= self.max_test_size:
-            raise ValueError(
-                f"initial_test_size {self.initial_test_size} must be in "
-                f"[1, {self.max_test_size}]"
-            )
-        if not 1.0 < self.step_factor_c < math.inf:
-            raise ValueError(f"step_factor_c must be > 1 and finite, got {self.step_factor_c}")
-        if not self.alpha_cost_exponent > 0.0:
-            raise ValueError(
-                f"alpha_cost_exponent must be > 0, got {self.alpha_cost_exponent}"
-            )
+        for part, initial, full in (
+            ("train", self.initial_train_size, self.max_train_size),
+            ("test", self.initial_test_size, self.max_test_size),
+        ):
+            if initial > full:
+                raise ValueError(f"initial_{part}_size {initial} must be <= the full size {full}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
+    @classmethod
+    def for_backend(
+        cls,
+        backend: ProbeBackend,
+        *,
+        epsilon: float,
+        delta: float,
+        initial_train_size: int,
+        initial_test_size: int,
+        step_factor_c: float,
+        alpha_cost_exponent: float,
+        seed: int,
+    ) -> "RunParams":
+        """A run's parameters over ``backend``: its number of configurations
+        and full sizes, with the initial sizes capped at the full sizes."""
+        return cls(
+            epsilon=epsilon,
+            delta=delta,
+            n_configs=backend.n_configs,
+            initial_train_size=min(initial_train_size, backend.max_train_size),
+            initial_test_size=min(initial_test_size, backend.max_test_size),
+            step_factor_c=step_factor_c,
+            alpha_cost_exponent=alpha_cost_exponent,
+            max_train_size=backend.max_train_size,
+            max_test_size=backend.max_test_size,
+            seed=seed,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "n_configs": self.n_configs,
-            "initial_train_size": self.initial_train_size,
-            "initial_test_size": self.initial_test_size,
-            "step_factor_c": self.step_factor_c,
-            "alpha_cost_exponent": self.alpha_cost_exponent,
-            "max_train_size": self.max_train_size,
-            "max_test_size": self.max_test_size,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunParams":

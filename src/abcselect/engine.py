@@ -1,11 +1,11 @@
 """The selection loop: probe, bound, prune, snapshot, schedule.
 
 Each round probes one configuration, re-estimates its confidence interval
-with :func:`update_interval`, updates the incumbent (the configuration with
-the highest lower bound seen so far), prunes every other active
-configuration whose upper bound is within epsilon of the incumbent lower
-bound, and snapshot-caches the surviving intervals whenever pruning
-happened. The incumbent is never pruned, so the loop, which runs while more
+with :meth:`~abcselect.ci_estimator.IntervalRule.update`, updates the
+incumbent (the configuration with the highest lower bound seen so far),
+prunes every other active configuration whose upper bound is within
+epsilon of the incumbent lower bound, and snapshot-caches the surviving
+intervals whenever pruning happened. The incumbent is never pruned, so the loop, which runs while more
 than one configuration is active, stops exactly when ``incumbent_lower +
 epsilon >= upper`` holds for every other configuration (the LUCB stopping
 rule; Hoeffding-race elimination), and returns the incumbent.
@@ -66,7 +66,6 @@ from .core import (
     RunParams,
     RunTrace,
     TraceRound,
-    initial_states,
 )
 from .probes import LearnerBackend, ProbeBackend
 from .scheduler import (
@@ -86,7 +85,6 @@ __all__ = [
     "build_report",
     "run_abc",
     "select_with_budget",
-    "update_interval",
     "verify_selection",
 ]
 
@@ -199,21 +197,6 @@ class ActiveSet:
         del self.ranked[i]
 
 
-def update_interval(
-    outcome: ProbeOutcome, cached: ConfidenceInterval, params: RunParams
-) -> tuple[ConfidenceInterval, ConfidenceInterval, bool]:
-    """``(raw, nested, disjoint)`` after a probe of a configuration whose
-    snapshot interval is ``cached``.
-
-    ``raw`` is the exact point ``acc_test`` for a probe at full training and
-    test data, the two confidence bounds otherwise, clamped into [0, 1];
-    ``nested`` and ``disjoint`` are :func:`clamp_to_cached` of ``raw`` into
-    ``cached``. A test sample above the full test set, which only a trace
-    read from outside the program can hold, raises ``ValueError``.
-    """
-    return IntervalRule(params).update(outcome, cached)
-
-
 def _validate_setup(
     configs: Sequence[ConfigurationState], backend: ProbeBackend, params: RunParams
 ) -> None:
@@ -257,10 +240,18 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _serve(backend: ProbeBackend, conn: Connection) -> None:
-    """A sweep-probe worker: probe each key received, reply with the outcome."""
+def _serve(backend: ProbeBackend, conn: Connection, parent_ends: list[Connection]) -> None:
+    """A sweep-probe worker: probe each key received, reply with the outcome,
+    and return once the parent's end is closed. ``parent_ends``, the parent's
+    pipe ends the fork copied, are closed first: a copy would keep the pipe
+    open after the parent dies."""
+    for end in parent_ends:
+        end.close()
     while True:
-        key = conn.recv()
+        try:
+            key = conn.recv()
+        except EOFError:
+            return
         try:
             conn.send((True, backend.probe(*key)))
         except Exception as exc:  # noqa: BLE001 - raised again by the engine
@@ -287,7 +278,8 @@ class _SweepProbes:
         self._width, self._idle, self._busy = width, [], {}  # (pipe, process), by key
         for _ in range(width):
             conn, child = ctx.Pipe()
-            worker = ctx.Process(target=_serve, args=(backend, child), daemon=True)
+            parent_ends = [conn, *(c for c, _ in self._idle)]
+            worker = ctx.Process(target=_serve, args=(backend, child, parent_ends), daemon=True)
             worker.start()
             child.close()
             self._idle.append((conn, worker))

@@ -25,20 +25,15 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import HalvingParams, full_run, relative_accuracy_loss, successive_halving
-from .core import (
-    RunParams,
-    RunTrace,
-    TraceRound,
-    initial_states,
-)
+from .baselines import full_run, relative_accuracy_loss, successive_halving
+from .core import RunParams, RunTrace, TraceRound, check_run_setting, initial_states
 from .ci_estimator import IntervalRule
 from .engine import ActiveSet, run_abc
 from .probes import (
@@ -141,6 +136,13 @@ def make_backend(source: InstanceSource, n: int, seed: int) -> ProbeBackend:
     return LearnerBackend(handle, source.learners[:n], seed=seed)
 
 
+# The run settings an experiment gives every cell, which adds its epsilon
+# and seed: each is an ExperimentSpec field and a RunParams.for_backend key.
+_RUN_SETTINGS = (
+    "delta", "initial_train_size", "initial_test_size", "step_factor_c", "alpha_cost_exponent"
+)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """What to run: sources, methods, grids, repetitions, seeding."""
@@ -185,19 +187,9 @@ class ExperimentSpec:
         # The ranges RunParams enforces for every cell, checked once here so
         # that a bad value fails the spec rather than each of its cells.
         for eps in self.epsilon_grid:
-            if not 0.0 <= eps <= 1.0:
-                raise ValueError(f"epsilon_grid values must be in [0, 1], got {eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        for key in ("initial_train_size", "initial_test_size"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not 1.0 < self.step_factor_c < math.inf:
-            raise ValueError(f"step_factor_c must be > 1 and finite, got {self.step_factor_c}")
-        if not self.alpha_cost_exponent > 0.0:
-            raise ValueError(
-                f"alpha_cost_exponent must be > 0, got {self.alpha_cost_exponent}"
-            )
+            check_run_setting("epsilon", eps, "epsilon_grid values")
+        for key in _RUN_SETTINGS:
+            check_run_setting(key, getattr(self, key))
 
 
 @dataclass(frozen=True)
@@ -223,23 +215,7 @@ class MetricsRow:
     prunes: int
 
     def to_record(self) -> dict:
-        return {
-            "method": self.method,
-            "instance": self.instance,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "selected": self.selected,
-            "acc_selected": self.acc_selected,
-            "acc_best": self.acc_best,
-            "loss": self.loss,
-            "delta_rel": self.delta_rel,
-            "cost_i": self.cost_i,
-            "cost_ii": self.cost_ii,
-            "speedup_i": self.speedup_i,
-            "speedup_ii": self.speedup_ii,
-            "rounds": self.rounds,
-            "prunes": self.prunes,
-        }
+        return asdict(self)
 
 
 def cell_seed(
@@ -281,11 +257,7 @@ class _Cell:
     rep: int
     seed: int
     budgets: tuple[float, ...]
-    delta: float
-    initial_train_size: int
-    initial_test_size: int
-    step_factor_c: float
-    alpha_cost_exponent: float
+    settings: tuple[tuple[str, float], ...]  # the spec's _RUN_SETTINGS
     full_accs: tuple[tuple[int, float], ...]
     full_costs: tuple[tuple[int, float], ...]
 
@@ -304,17 +276,8 @@ class _Cell:
 def _run_cell(cell: _Cell) -> list[MetricsRow]:
     """The group's rows: the unbudgeted cell's, then one per budget."""
     backend = make_backend(cell.source, cell.n, cell.seed)
-    params = RunParams(
-        epsilon=cell.epsilon,
-        delta=cell.delta,
-        n_configs=cell.n,
-        initial_train_size=min(cell.initial_train_size, backend.max_train_size),
-        initial_test_size=min(cell.initial_test_size, backend.max_test_size),
-        step_factor_c=cell.step_factor_c,
-        alpha_cost_exponent=cell.alpha_cost_exponent,
-        max_train_size=backend.max_train_size,
-        max_test_size=backend.max_test_size,
-        seed=cell.seed,
+    params = RunParams.for_backend(
+        backend, epsilon=cell.epsilon, seed=cell.seed, **dict(cell.settings)
     )
     full_accs = dict(cell.full_accs)
     full_costs = dict(cell.full_costs)
@@ -351,12 +314,10 @@ def _run_cell(cell: _Cell) -> list[MetricsRow]:
         selected, _, cost = full_run(ids, backend)
         return [row(None, selected, cost, cell.n, 0, cost_ii=cost)]
     if cell.method == "successive_halving":
-        hp = HalvingParams(
-            initial_train_size=params.initial_train_size,
-            initial_test_size=params.initial_test_size,
-            growth_factor=params.step_factor_c,
+        selected, trace = successive_halving(
+            ids, backend, params.initial_train_size, params.initial_test_size,
+            params.step_factor_c,
         )
-        selected, trace = successive_halving(ids, backend, hp)
     else:
         states = initial_states(list(backend.labels), params)
         kind = ABC_METHODS[cell.method]
@@ -384,6 +345,7 @@ def run_experiment(
     metrics.jsonl and aggregates.csv are written there.
     """
     cells: list[_Cell] = []
+    settings = tuple((key, getattr(spec, key)) for key in _RUN_SETTINGS)
     full_cache: dict[tuple[str, int], tuple[dict, dict]] = {}
     for source in spec.sources:
         for n in spec.n_configs_grid:
@@ -410,11 +372,7 @@ def run_experiment(
                                     spec.base_seed, method, source.name, n, epsilon, rep
                                 ),
                                 budgets=budgets,
-                                delta=spec.delta,
-                                initial_train_size=spec.initial_train_size,
-                                initial_test_size=spec.initial_test_size,
-                                step_factor_c=spec.step_factor_c,
-                                alpha_cost_exponent=spec.alpha_cost_exponent,
+                                settings=settings,
                                 full_accs=tuple(sorted(accs.items())),
                                 full_costs=tuple(sorted(costs.items())),
                             )
@@ -517,12 +475,12 @@ def halving_budget_curve(
     initial_train_sizes: Sequence[int],
 ) -> list[tuple[float, int]]:
     """Successive-halving cost/selection at each initial size (test sample
-    is twice the train sample). Returns (total cost, selected id) pairs."""
+    is twice the train sample, both at most the full sizes). Returns (total
+    cost, selected id) pairs."""
     points = []
     ids = list(range(1, backend.n_configs + 1))
     for init in initial_train_sizes:
-        hp = HalvingParams.from_initial_train(init)
-        selected, trace = successive_halving(ids, backend, hp)
+        selected, trace = successive_halving(ids, backend, init, 2 * init)
         points.append((trace.wall_cost_total, selected))
     return points
 

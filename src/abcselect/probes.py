@@ -33,7 +33,6 @@ __all__ = [
     "ProbeBackend",
     "SyntheticBackend",
     "SyntheticInstance",
-    "full_evaluate",
     "load_csv_dataset",
     "probe_learner",
     "probe_synthetic",
@@ -107,17 +106,17 @@ class CurveSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.a_inf <= 1.0:
             raise ValueError(f"a_inf must be in [0, 1], got {self.a_inf}")
-        if self.b < 0.0:
+        if not self.b >= 0.0:
             raise ValueError(f"b must be >= 0, got {self.b}")
-        if self.beta <= 0.0:
+        if not self.beta > 0.0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.overfit_gap < 0.0:
+        if not self.overfit_gap >= 0.0:
             raise ValueError(f"overfit_gap must be >= 0, got {self.overfit_gap}")
-        if self.gamma <= 0.0:
+        if not self.gamma > 0.0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.kappa <= 0.0:
+        if not self.kappa > 0.0:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if self.alpha <= 0.0:
+        if not self.alpha > 0.0:
             raise ValueError(f"alpha must be > 0, got {self.alpha}")
         if self.plateau is not None:
             lo, hi = self.plateau
@@ -357,7 +356,6 @@ class DatasetHandle:
             self._parts[part] = (features[order], labels[order])
             for array in self._parts[part]:
                 array.setflags(write=False)  # shared by every sample of the part
-        self._holdout = holdout
         self._seed = seed
 
     @property
@@ -375,10 +373,6 @@ class DatasetHandle:
     @property
     def test_size(self) -> int:
         return len(self._test_order)
-
-    @property
-    def holdout_ratio(self) -> float:
-        return self._holdout
 
     @property
     def seed(self) -> int:
@@ -456,11 +450,11 @@ class LearnerSpec:
         if self.kind not in LEARNER_KINDS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
         if self.kind == "logistic_regression_sgd":
-            if self.learning_rate <= 0.0:
+            if not self.learning_rate > 0.0:
                 raise ValueError("learning_rate must be > 0")
             if self.epochs < 1:
                 raise ValueError("epochs must be >= 1")
-            if self.l2 < 0.0:
+            if not self.l2 >= 0.0:
                 raise ValueError("l2 must be >= 0")
             if self.batch_size < 1:
                 raise ValueError("batch_size must be >= 1")
@@ -711,12 +705,6 @@ def probe_learner(
     )
 
 
-def full_evaluate(handle: DatasetHandle, learner: LearnerSpec, seed=0) -> float:
-    """Real test accuracy: train on all training data, evaluate on all test data."""
-    outcome = probe_learner(handle, learner, handle.train_size, handle.test_size, seed)
-    return outcome.test_accuracy
-
-
 class LearnerBackend:
     """Probe backend over a dataset and a list of learner specs.
 
@@ -788,7 +776,3 @@ class LearnerBackend:
 
     def true_accuracy(self, config_id: int) -> None:
         return None
-
-    def full_accuracy(self, config_id: int) -> float:
-        """Real test accuracy of one configuration (full train, full test)."""
-        return self.probe(config_id, self.max_train_size, self.max_test_size).test_accuracy

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .core import ConfigurationState, RunParams
+from .core import ConfigurationState, RunParams, check_run_setting
 
 __all__ = [
     "GradientEstimate",
@@ -67,8 +67,7 @@ class GradientEstimate:
 
 def optimal_step_size(alpha: float) -> float:
     """Worst-case-optimal geometric growth factor for cost T(s) = s**alpha."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    check_run_setting("alpha_cost_exponent", alpha)
     return 2.0 ** (1.0 / alpha)
 
 
@@ -80,8 +79,7 @@ def next_sample_size(current: int, c: float, cap: int) -> int:
     """
     if current < 1:
         raise ValueError(f"current size must be >= 1, got {current}")
-    if c <= 1.0:
-        raise ValueError(f"growth factor must be > 1, got {c}")
+    check_run_setting("step_factor_c", c, "growth factor")
     if cap < current:
         raise ValueError(f"cap {cap} below current size {current}")
     if current == cap:

@@ -9,8 +9,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from abcselect.baselines import HalvingParams, relative_accuracy_loss, successive_halving
-from abcselect.ci_estimator import lower_bound, upper_bound
+from abcselect.baselines import relative_accuracy_loss, successive_halving
+from abcselect.ci_estimator import IntervalRule
 from abcselect.core import ProbeOutcome, RunParams, initial_states
 from abcselect.engine import run_abc, select_with_budget
 from abcselect.harness import (
@@ -66,11 +66,12 @@ def test_criterion_1_bound_formulas_match_high_precision_oracle():
         return mp.mpf(repr(a_te)) - mp.sqrt(log_term / (2 * s_te))
 
     # the worked examples first
-    worked = ProbeOutcome(1000, 2000, 0.85, 0.80, 1.0), bound_params(5, 0.5, 100_000)
-    assert abs(upper_bound(*worked) - float(oracle_upper(0.85, 1000, 100_000, 5, 0.5))) < 1e-12
-    assert abs(upper_bound(*worked) - 0.90662) < 5e-6
-    assert abs(lower_bound(*worked) - float(oracle_lower(0.80, 2000, 5, 0.5))) < 1e-12
-    assert abs(lower_bound(*worked) - 0.76607) < 5e-6
+    worked = ProbeOutcome(1000, 2000, 0.85, 0.80, 1.0)
+    rule = IntervalRule(bound_params(5, 0.5, 100_000))
+    assert abs(rule.upper(worked) - float(oracle_upper(0.85, 1000, 100_000, 5, 0.5))) < 1e-12
+    assert abs(rule.upper(worked) - 0.90662) < 5e-6
+    assert abs(rule.lower(worked) - float(oracle_lower(0.80, 2000, 5, 0.5))) < 1e-12
+    assert abs(rule.lower(worked) - 0.76607) < 5e-6
 
     rng = np.random.default_rng(20240817)
     worst = 0.0
@@ -82,9 +83,10 @@ def test_criterion_1_bound_formulas_match_high_precision_oracle():
         full_te = s_te + int(rng.integers(0, 10**9))
         a_tr = float(rng.uniform(0, 1))
         a_te = float(rng.uniform(0, 1))
-        inp = ProbeOutcome(s_tr, s_te, a_tr, a_te, 0.0), bound_params(n, delta, full_te)
-        du = abs(upper_bound(*inp) - float(oracle_upper(a_tr, s_tr, full_te, n, delta)))
-        dl = abs(lower_bound(*inp) - float(oracle_lower(a_te, s_te, n, delta)))
+        outcome = ProbeOutcome(s_tr, s_te, a_tr, a_te, 0.0)
+        rule = IntervalRule(bound_params(n, delta, full_te))
+        du = abs(rule.upper(outcome) - float(oracle_upper(a_tr, s_tr, full_te, n, delta)))
+        dl = abs(rule.lower(outcome) - float(oracle_lower(a_te, s_te, n, delta)))
         worst = max(worst, du, dl)
     elapsed = time.time() - t0
     assert worst < 1e-12
@@ -151,7 +153,7 @@ def test_criterion_4_interval_pruning_beats_point_ranking_on_plateaus():
             selected, _, _, _ = run_on(instance, seed=777 + seed, scheduler=kind)
             abc_losses[kind].append(relative_accuracy_loss(best, truths[selected - 1]))
         sh_sel, _ = successive_halving(
-            list(range(1, instance.n_configs + 1)), backend, HalvingParams(1000, 2000)
+            list(range(1, instance.n_configs + 1)), backend, 1000, 2000
         )
         sh_losses.append(relative_accuracy_loss(best, truths[sh_sel - 1]))
     elapsed = time.time() - t0
@@ -398,7 +400,7 @@ def test_criterion_11_real_learner_smoke():
     )
     states = initial_states(list(backend.labels), params)
     selected, trace = run_abc(states, backend, params, SchedulerKind.GRADIENT_CI)
-    selected_full_accuracy = backend.full_accuracy(selected)
+    selected_full_accuracy = accuracies[selected]  # its full-size probe, as probes are pure
     elapsed = time.time() - t0
     loss = accuracies[best] - selected_full_accuracy
     ratio = trace.wall_cost_total / full_cost

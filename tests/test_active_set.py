@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from abcselect.ci_estimator import clamp_to_cached, lower_bound, upper_bound
+from abcselect.ci_estimator import IntervalRule, clamp_to_cached
 from abcselect.core import (
     ConfidenceInterval,
     ProbeOutcome,
@@ -48,6 +48,7 @@ def reference_run(configs, backend, params, scheduler):
     active_set = {c.id for c in configs if c.active}
     prev_ci = {}
     trace = RunTrace(params=params)
+    rule = IntervalRule(params)
     incumbent_id, incumbent_lower = configs[0].id, 0.0
     round_index = 0
 
@@ -117,7 +118,7 @@ def reference_run(configs, backend, params, scheduler):
         if s_tr >= params.max_train_size and s_te >= params.max_test_size:
             raw = clamp_interval(outcome.test_accuracy, outcome.test_accuracy)
         else:
-            raw = clamp_interval(lower_bound(outcome, params), upper_bound(outcome, params))
+            raw = clamp_interval(rule.lower(outcome), rule.upper(outcome))
         ci, _ = clamp_to_cached(raw, cfg.cached_ci)
         prev_ci[cfg.id] = cfg.ci
         cfg.append_probe(outcome)

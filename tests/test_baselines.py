@@ -1,11 +1,6 @@
 import pytest
 
-from abcselect.baselines import (
-    HalvingParams,
-    full_run,
-    relative_accuracy_loss,
-    successive_halving,
-)
+from abcselect.baselines import full_run, relative_accuracy_loss, successive_halving
 from abcselect.core import ProbeOutcome
 from abcselect.engine import run_abc
 from abcselect.harness import make_plateau_instance, make_two_config_instance
@@ -85,7 +80,7 @@ class TestSuccessiveHalving:
     def test_power_of_two_schedule(self):
         backend = RankedBackend([0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2])
         selected, trace = successive_halving(
-            list(range(1, 9)), backend, HalvingParams(1000, 2000)
+            list(range(1, 9)), backend, 1000, 2000
         )
         assert selected == 1
         assert self.survivor_counts(trace, 8) == [8, 4, 2, 1]
@@ -95,7 +90,7 @@ class TestSuccessiveHalving:
     def test_odd_counts_round_up(self):
         backend = RankedBackend([0.9, 0.8, 0.7, 0.6, 0.5])
         selected, trace = successive_halving(
-            list(range(1, 6)), backend, HalvingParams(1000, 2000)
+            list(range(1, 6)), backend, 1000, 2000
         )
         assert selected == 1
         assert self.survivor_counts(trace, 5) == [5, 3, 2, 1]
@@ -104,14 +99,14 @@ class TestSuccessiveHalving:
     def test_sample_budget_matches_schedule(self):
         backend = RankedBackend([0.9, 0.8, 0.7, 0.6])
         _, trace = successive_halving(
-            list(range(1, 5)), backend, HalvingParams(1000, 2000)
+            list(range(1, 5)), backend, 1000, 2000
         )
         # probes: 4 at 1000, then 2 at 2000; unit cost per sample
         assert trace.wall_cost_total == pytest.approx(4 * 1000 + 2 * 2000)
 
     def test_tie_break_keeps_lower_id(self):
         backend = RankedBackend([0.8, 0.8])
-        selected, _ = successive_halving([1, 2], backend, HalvingParams(1000, 2000))
+        selected, _ = successive_halving([1, 2], backend, 1000, 2000)
         assert selected == 1
 
     def test_point_estimates_eliminate_plateau_best_but_intervals_keep_it(self):
@@ -120,7 +115,7 @@ class TestSuccessiveHalving:
         best_id = max(range(1, len(truths) + 1), key=lambda i: truths[i - 1])
         backend = SyntheticBackend(inst, seed=777)
         sh_sel, _ = successive_halving(
-            list(range(1, inst.n_configs + 1)), backend, HalvingParams(1000, 2000)
+            list(range(1, inst.n_configs + 1)), backend, 1000, 2000
         )
         assert sh_sel != best_id  # misled by the flat stretch of the curve
         states, backend2, params = fresh_run_inputs(inst, seed=777)

@@ -3,9 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcselect.ci_estimator import IntervalRule, clamp_to_cached, lower_bound, upper_bound
+from abcselect.ci_estimator import IntervalRule, clamp_to_cached
 from abcselect.core import ConfidenceInterval, ProbeOutcome, RunParams, clamp_interval
-from abcselect.engine import update_interval
 
 from conftest import bound_params
 
@@ -21,17 +20,29 @@ def make_inputs(s_tr=1000, s_te=2000, a_tr=0.85, a_te=0.80, n=5, delta=0.5,
     return ProbeOutcome(s_tr, s_te, a_tr, a_te, 1.0), bound_params(n, delta, full_test)
 
 
+def upper(inp):
+    """The upper bound of ``make_inputs``' probe under its parameters."""
+    outcome, params = inp
+    return IntervalRule(params).upper(outcome)
+
+
+def lower(inp):
+    """The lower bound of ``make_inputs``' probe under its parameters."""
+    outcome, params = inp
+    return IntervalRule(params).lower(outcome)
+
+
 class TestUpperBound:
     def test_worked_value(self):
-        assert upper_bound(*make_inputs()) == pytest.approx(U_REFERENCE, abs=1e-15)
+        assert upper(make_inputs()) == pytest.approx(U_REFERENCE, abs=1e-15)
 
     def test_vanishing_variation_terms(self):
         inp = make_inputs(s_tr=10**12, full_test=10**12)
-        assert upper_bound(*inp) == pytest.approx(0.85, abs=1e-5)
+        assert upper(inp) == pytest.approx(0.85, abs=1e-5)
 
     def test_clamps_above_one(self):
         inp = make_inputs(s_tr=50, s_te=50, a_tr=0.99, full_test=100)
-        raw = upper_bound(*inp)
+        raw = upper(inp)
         assert raw > 1.0
         assert clamp_interval(0.0, raw).upper == 1.0
 
@@ -42,25 +53,25 @@ class TestUpperBound:
             make_inputs(delta=1.0)
         outcome, params = make_inputs(full_test=100)  # smaller than the test sample
         with pytest.raises(ValueError):
-            update_interval(outcome, ConfidenceInterval(0.0, 1.0), params)
+            IntervalRule(params).update(outcome, ConfidenceInterval(0.0, 1.0))
 
 
 class TestLowerBound:
     def test_worked_value(self):
-        assert lower_bound(*make_inputs()) == pytest.approx(L_REFERENCE, abs=1e-15)
+        assert lower(make_inputs()) == pytest.approx(L_REFERENCE, abs=1e-15)
 
     def test_clamps_below_zero(self):
         inp = make_inputs(s_te=10, a_te=0.02, full_test=100_000)
-        raw = lower_bound(*inp)
+        raw = lower(inp)
         assert raw < 0.0
         assert clamp_interval(raw, 1.0).lower == 0.0
 
     def test_vanishing_variation_term(self):
         inp = make_inputs(s_te=10**12, full_test=10**12)
-        assert lower_bound(*inp) == pytest.approx(0.80, abs=1e-5)
+        assert lower(inp) == pytest.approx(0.80, abs=1e-5)
 
     def test_never_exceeds_test_accuracy(self):
-        assert lower_bound(*make_inputs()) <= 0.80
+        assert lower(make_inputs()) <= 0.80
 
 
 valid_inputs = st.builds(
@@ -91,22 +102,22 @@ class TestMonotonicity:
     @given(valid_inputs, st.integers(2, 100))
     def test_upper_nonincreasing_in_train_size(self, inp, factor):
         bigger = grown(inp, s_tr=inp[0].train_sample_size * factor)
-        assert upper_bound(*bigger) <= upper_bound(*inp)
+        assert upper(bigger) <= upper(inp)
 
     @given(valid_inputs, st.integers(2, 100))
     def test_upper_nondecreasing_in_n(self, inp, factor):
         more = grown(inp, n=inp[1].n_configs * factor)
-        assert upper_bound(*more) >= upper_bound(*inp)
+        assert upper(more) >= upper(inp)
 
     @given(valid_inputs, st.integers(2, 100))
     def test_lower_nondecreasing_in_test_size(self, inp, factor):
         bigger = grown(inp, s_te=inp[0].test_sample_size * factor)
-        assert lower_bound(*bigger) >= lower_bound(*inp)
+        assert lower(bigger) >= lower(inp)
 
     @given(valid_inputs, st.floats(0.0, 0.2))
     def test_upper_nondecreasing_in_train_accuracy(self, inp, bump):
         higher = grown(inp, a_tr=min(1.0, inp[0].train_accuracy + bump))
-        assert upper_bound(*higher) >= upper_bound(*inp)
+        assert upper(higher) >= upper(inp)
 
 
 class TestSnapshotClamp:
@@ -153,7 +164,7 @@ class TestEstimateCI:
     def test_estimate_nested_in_cache(self):
         outcome, params = make_inputs()
         cached = ConfidenceInterval(0.72, 0.95)
-        raw, ci, disjoint = update_interval(outcome, cached, params)
+        raw, ci, disjoint = IntervalRule(params).update(outcome, cached)
         assert ci.is_subset_of(cached) and not disjoint
         # lower bound 0.766 beats the cache floor; upper 0.907 under the cap
         assert ci == raw
@@ -162,7 +173,7 @@ class TestEstimateCI:
 
     def test_fresh_configuration_gets_raw_interval(self):
         outcome, params = make_inputs()
-        raw, ci, disjoint = update_interval(outcome, ConfidenceInterval(0.0, 1.0), params)
+        raw, ci, disjoint = IntervalRule(params).update(outcome, ConfidenceInterval(0.0, 1.0))
         assert ci == raw and not disjoint
         assert ci.lower == pytest.approx(L_REFERENCE, abs=1e-15)
         assert ci.upper == pytest.approx(U_REFERENCE, abs=1e-15)
@@ -170,24 +181,24 @@ class TestEstimateCI:
 
 def test_update_interval():
     outcome, params = make_inputs()  # full sets: 10**12 train rows, 100,000 test rows
-    fresh = ConfidenceInterval(0.0, 1.0)
+    rule, fresh = IntervalRule(params), ConfidenceInterval(0.0, 1.0)
     # Snapshot clamp: the nested interval keeps the snapshot's tighter ends.
-    _, nested, disjoint = update_interval(outcome, ConfidenceInterval(0.78, 0.80), params)
+    _, nested, disjoint = rule.update(outcome, ConfidenceInterval(0.78, 0.80))
     assert nested == ConfidenceInterval(0.78, 0.80) and not disjoint
     # Disjoint from the snapshot: collapse to its nearest endpoint, flagged.
-    raw, nested, disjoint = update_interval(outcome, ConfidenceInterval(0.95, 0.99), params)
+    raw, nested, disjoint = rule.update(outcome, ConfidenceInterval(0.95, 0.99))
     assert raw.upper < 0.95 and nested == ConfidenceInterval(0.95, 0.95) and disjoint
     # [0, 1] clamp of both bounds.
-    raw, _, _ = update_interval(ProbeOutcome(50, 50, 0.99, 0.02, 1.0), fresh, params)
+    raw, _, _ = rule.update(ProbeOutcome(50, 50, 0.99, 0.02, 1.0), fresh)
     assert raw == ConfidenceInterval(0.0, 1.0)
     # Saturation: full training and test data give the exact point acc_test.
     full = ProbeOutcome(10**12, 100_000, 0.9, 0.8, 1.0)
-    assert update_interval(full, fresh, params) == (
+    assert rule.update(full, fresh) == (
         ConfidenceInterval(0.8, 0.8), ConfidenceInterval(0.8, 0.8), False
     )
     # A test sample beyond the full test set is rejected.
     with pytest.raises(ValueError):
-        update_interval(ProbeOutcome(1000, 100_001, 0.9, 0.8, 1.0), fresh, params)
+        rule.update(ProbeOutcome(1000, 100_001, 0.9, 0.8, 1.0), fresh)
 
 
 def reference_bounds(outcome, params):
@@ -255,9 +266,8 @@ def rule_cases(draw):
 @given(rule_cases())
 def test_interval_rule_matches_per_call_bounds_bit_for_bit(case):
     outcome, cached, params = case
-    lower, upper = reference_bounds(outcome, params)
-    assert lower_bound(outcome, params).hex() == lower.hex()
-    assert upper_bound(outcome, params).hex() == upper.hex()
-    expected = bits(reference_update(outcome, cached, params))
-    assert bits(IntervalRule(params).update(outcome, cached)) == expected
-    assert bits(update_interval(outcome, cached, params)) == expected
+    ref_lower, ref_upper = reference_bounds(outcome, params)
+    rule = IntervalRule(params)
+    assert rule.lower(outcome).hex() == ref_lower.hex()
+    assert rule.upper(outcome).hex() == ref_upper.hex()
+    assert bits(rule.update(outcome, cached)) == bits(reference_update(outcome, cached, params))

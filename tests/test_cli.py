@@ -361,6 +361,14 @@ def test_run_bad_cost_model_exits_1(tmp_path, capsys, cost_model):
         ({"step_factor_c": float("inf")}, None, "key 'step_factor_c' in params must be finite"),
         ({"alpha_cost_exponent": float("nan")}, None,
          "key 'alpha_cost_exponent' in params must be finite"),
+        # The ranges test_experiment_run_param_out_of_range_exits_1 checks.
+        ({"delta": 1.5}, None, "delta"),
+        ({"delta": 0}, None, "delta"),
+        ({"epsilon": 1.5}, None, "epsilon"),
+        ({"epsilon": -0.1}, None, "epsilon"),
+        ({"initial_train_size": 0}, None, "initial_train_size"),
+        ({"initial_test_size": -3}, None, "initial_test_size"),
+        ({"step_factor_c": 1.0}, None, "step_factor_c"),
     ],
 )
 def test_run_bad_params_value_exits_1(synthetic_setup, capsys, monkeypatch, params, env_seed, key):
@@ -372,6 +380,18 @@ def test_run_bad_params_value_exits_1(synthetic_setup, capsys, monkeypatch, para
     path.write_text(json.dumps(config))
     assert main(["run", str(path)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+def test_run_instance_nan_curve_value_exits_1(synthetic_setup, capsys):
+    # JSON's NaN literal passed the curve's range checks; the run then
+    # exited 2 on the NaN probe cost, in a message naming no instance key.
+    tmp_path, config_path, _ = synthetic_setup
+    instance = json.loads((tmp_path / "instance.json").read_text())
+    instance["curves"][0]["kappa"] = math.nan
+    (tmp_path / "instance.json").write_text(json.dumps(instance))
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    assert "kappa" in capsys.readouterr().err
     assert not (tmp_path / "trace.jsonl").exists()
 
 

@@ -15,7 +15,6 @@ from abcselect.probes import (
     LearnerSpec,
     SyntheticBackend,
     SyntheticInstance,
-    full_evaluate,
     load_csv_dataset,
     probe_learner,
     probe_synthetic,
@@ -57,6 +56,9 @@ class TestCurveSpec:
             basic_spec(beta=0.0)
         with pytest.raises(ValueError):
             basic_spec(plateau=(10, 5))
+        for key in ("b", "beta", "overfit_gap", "gamma", "kappa", "alpha"):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                basic_spec(**{key: math.nan})
 
     def test_dict_roundtrip(self):
         spec = basic_spec(plateau=(10, 20))
@@ -265,6 +267,9 @@ class TestLearners:
             LearnerSpec(kind="nonsense")
         with pytest.raises(ValueError):
             LearnerSpec(kind="logistic_regression_sgd", learning_rate=0.0)
+        for key in ("learning_rate", "l2"):
+            with pytest.raises(ValueError, match=f"^{key} must be"):
+                LearnerSpec(kind="logistic_regression_sgd", **{key: math.nan})
         with pytest.raises(ValueError):
             LearnerSpec.from_dict({"kind": "decision_stump", "learning_rate": 0.1})
         with pytest.raises(ValueError):
@@ -438,25 +443,30 @@ def test_learner_trace_matches_reference_kernel(tmp_path):
 
 
 class TestFullEvaluate:
+    # A configuration's full-data accuracy is its probe at the full sizes.
     def test_majority_matches_class_prior(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(3000, 2))
         y = (rng.random(3000) < 0.6).astype(int)
         handle = DatasetHandle(X, y, holdout=0.4, seed=2)
-        acc = full_evaluate(handle, LearnerSpec(kind="majority_class"))
+        out = probe_learner(
+            handle, LearnerSpec(kind="majority_class"), handle.train_size, handle.test_size, 0
+        )
         prior = handle.test_arrays(handle.test_size)[1].mean()
-        assert acc == pytest.approx(prior, abs=1e-12)
+        assert out.test_accuracy == pytest.approx(prior, abs=1e-12)
 
     def test_identity_with_full_size_probe(self):
         handle = separable_handle(n=2000)
         spec = LearnerSpec(kind="decision_stump")
-        acc = full_evaluate(handle, spec, seed=0)
+        backend = LearnerBackend(handle, [spec])
+        acc = backend.probe(1, backend.max_train_size, backend.max_test_size).test_accuracy
         out = probe_learner(handle, spec, handle.train_size, handle.test_size, 0)
         assert acc == out.test_accuracy
 
     def test_stump_on_separable_data_is_perfect(self):
         handle = separable_handle(n=2000)
-        assert full_evaluate(handle, LearnerSpec(kind="decision_stump")) == 1.0
+        backend = LearnerBackend(handle, [LearnerSpec(kind="decision_stump")])
+        assert backend.probe(1, handle.train_size, handle.test_size).test_accuracy == 1.0
 
 
 class TestCsvLoading:

@@ -366,7 +366,7 @@ def test_reported_cost_ratio_versus_brute_force_schedule():
     """
     import numpy as np
 
-    from abcselect.ci_estimator import lower_bound, upper_bound
+    from abcselect.ci_estimator import IntervalRule
     from abcselect.engine import run_abc
     from abcselect.probes import CurveSpec, SyntheticBackend, SyntheticInstance
     from abcselect.core import ProbeOutcome, RunParams, initial_states
@@ -395,8 +395,8 @@ def test_reported_cost_ratio_versus_brute_force_schedule():
     def noise_free_bounds(cfg_idx, s, t):
         spec = curves[cfg_idx]
         outcome = ProbeOutcome(s, t, spec.train_accuracy(s), spec.true_accuracy(s), 0.0)
-        params = bound_params(n, 0.5, instance.max_test_size)
-        return lower_bound(outcome, params), min(1.0, upper_bound(outcome, params))
+        rule = IntervalRule(bound_params(n, 0.5, instance.max_test_size))
+        return rule.lower(outcome), min(1.0, rule.upper(outcome))
 
     full_train_cost = curves[0].cost(instance.max_train_size)
     best_probe_oracle = np.inf

@@ -6,8 +6,10 @@ import json
 import logging
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -221,6 +223,49 @@ def test_no_child_process_outlives_a_budget_stop(csv_path, cpus, worker_rounds):
     assert any(flag.startswith("budget stop") for flag in trace.flags)
     assert trace.n_rounds and all(worker_rounds)
     assert multiprocessing.active_children() == []
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_workers_exit_when_their_parent_dies(csv_path):
+    # A parent killed before it closes its workers must not leave them
+    # waiting on its pipes. Only the first line of the child's output is
+    # read: a leftover worker holds the pipe open, so reading to its end
+    # would hang.
+    script = f"""
+import os, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from abcselect import engine
+from test_sweep_probes import make_backend
+workers = engine._SweepProbes(make_backend({str(csv_path)!r}), 2)
+print(*(worker.pid for _, worker in workers._idle), flush=True)
+os._exit(0)
+"""
+    src = str(Path(engine.__file__).parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in child.stdout.readline().split()]
+        assert child.wait(timeout=60) == 0 and len(pids) == 2
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        child.stdout.close()
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_keeps_no_reference_to_the_backend(csv_path, cpus, worker_rounds):
