@@ -18,6 +18,8 @@ import logging
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cache
+from numbers import Integral
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -104,23 +106,25 @@ class CurveSpec:
     plateau: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        # Chained comparisons, false for NaN and infinities: an instance
+        # builds thousands of curves.
         if not 0.0 <= self.a_inf <= 1.0:
             raise ValueError(f"a_inf must be in [0, 1], got {self.a_inf}")
-        if not self.b >= 0.0:
-            raise ValueError(f"b must be >= 0, got {self.b}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not self.overfit_gap >= 0.0:
-            raise ValueError(f"overfit_gap must be >= 0, got {self.overfit_gap}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0.0 <= self.b < math.inf:
+            raise ValueError(f"b must be finite and >= 0, got {self.b}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 <= self.overfit_gap < math.inf:
+            raise ValueError(f"overfit_gap must be finite and >= 0, got {self.overfit_gap}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.plateau is not None:
             lo, hi = self.plateau
-            if not 1 <= lo <= hi:
+            if not 1 <= lo <= hi < math.inf:
                 raise ValueError(f"invalid plateau range {self.plateau}")
 
     def true_accuracy(self, s: int) -> float:
@@ -158,13 +162,43 @@ class CurveSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CurveSpec":
-        allowed = {"a_inf", "b", "beta", "overfit_gap", "gamma", "kappa", "alpha", "plateau"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown curve field {sorted(unknown)[0]!r}")
+        numbers = ("a_inf", "b", "beta", "overfit_gap", "gamma", "kappa", "alpha")
+        _check_fields(d, {*numbers, "plateau"}, "curve")
+        kwargs = {key: _json_number(d, key, "curve") for key in numbers}
         plateau = d.get("plateau")
-        kwargs = {k: v for k, v in d.items() if k != "plateau"}
-        return cls(plateau=tuple(plateau) if plateau is not None else None, **kwargs)
+        if plateau is not None:
+            if not (isinstance(plateau, list) and len(plateau) == 2
+                    and all(type(v) in (int, float) for v in plateau)):
+                raise ValueError(f"curve field 'plateau' must be [lo, hi], got {plateau!r}")
+            plateau = tuple(plateau)
+        return cls(plateau=plateau, **kwargs)
+
+
+def _check_fields(d, allowed: set[str], what: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, got {d!r}")
+    unknown = set(d) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} field {sorted(unknown)[0]!r}")
+
+
+def _json_number(d: dict, key: str, what: str, integral: bool = False):
+    """``d[key]``, which must be a JSON number (not a bool or a string):
+    if ``integral``, an integral one, returned as an int, else a float."""
+    if key not in d:
+        raise ValueError(f"{what} needs field {key!r}")
+    value = d[key]
+    if integral and type(value) is float and value.is_integer():
+        value = int(value)
+    if not (type(value) is int or (type(value) is float and not integral)):
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"{what} field {key!r} must be {kind}, got {value!r}")
+    if integral:
+        return value
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"{what} field {key!r} is out of range, got {value!r}") from exc
 
 
 def probe_synthetic(
@@ -212,8 +246,10 @@ class SyntheticInstance:
     def __post_init__(self) -> None:
         if not self.curves:
             raise ValueError("instance needs at least one curve")
-        if self.max_train_size < 1 or self.max_test_size < 1:
-            raise ValueError("full data sizes must be >= 1")
+        for key in ("max_train_size", "max_test_size"):
+            size = getattr(self, key)
+            if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {size!r}")
 
     @property
     def n_configs(self) -> int:
@@ -238,15 +274,17 @@ class SyntheticInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticInstance":
-        allowed = {"name", "max_train_size", "max_test_size", "curves"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown instance field {sorted(unknown)[0]!r}")
+        _check_fields(d, {"name", "max_train_size", "max_test_size", "curves"}, "instance")
+        for key in ("name", "curves"):
+            if key not in d:
+                raise ValueError(f"instance needs field {key!r}")
+        if not isinstance(d["curves"], list):
+            raise ValueError(f"instance field 'curves' must be a list, got {d['curves']!r}")
         return cls(
             name=d["name"],
             curves=tuple(CurveSpec.from_dict(c) for c in d["curves"]),
-            max_train_size=d["max_train_size"],
-            max_test_size=d["max_test_size"],
+            max_train_size=_json_number(d, "max_train_size", "instance", integral=True),
+            max_test_size=_json_number(d, "max_test_size", "instance", integral=True),
         )
 
     @classmethod
@@ -254,8 +292,106 @@ class SyntheticInstance:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
+    out = [init]
+    for _ in range(length - 1):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# The constants of NumPy's ``SeedSequence`` (``numpy/random/bit_generator.pyx``,
+# after O'Neill's ``seed_seq_fe``). Its hash constants do not depend on the
+# data, so the k-th hash of a pass always uses the k-th entry of a chain.
+_SS_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 17)
+_SS_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)
+_SS_MIX_L = np.uint32(0xCA01F9DD)
+_SS_MIX_R = np.uint32(0x4973F715)
+_SS_OTHERS = tuple(np.array([d for d in range(4) if d != s], dtype=np.intp) for s in range(4))
+
+# A backend over fewer configurations seeds each probe on its own: below
+# this many, building a rung's table costs more than it saves (see README,
+# "Synthetic probe cost").
+_RUNG_TABLE_MIN_CONFIGS = 64
+
+
+def _rung_seed_words(seed: int, n: int, s_tr: int, s_te: int) -> np.ndarray:
+    """PCG64 seed words of the entropy ``[seed, id, s_tr, s_te]`` for every
+    id in 1..n, each below 2**32: an ``(n, 4)`` uint64 array whose row
+    ``id - 1`` equals ``SeedSequence(np.array([seed, id, s_tr, s_te],
+    np.uint32)).generate_state(4, np.uint64)``.
+
+    It is NumPy's pass for one key (``mix_entropy`` into a pool of four
+    words, then ``generate_state``) run on uint32 arrays, one column per id,
+    so its multiplications wrap modulo 2**32 as NumPy's do. While the pool
+    mixes word ``src`` into the other three, ``src`` itself does not change,
+    so those three updates are one operation on a ``(3, n)`` array.
+    """
+    hash_a = _SS_HASH_A[:, None]
+    pool = np.empty((4, n), dtype=np.uint32)
+    pool[0] = seed
+    pool[1] = np.arange(1, n + 1, dtype=np.uint32)
+    pool[2] = s_tr
+    pool[3] = s_te
+    pool ^= hash_a[:4]
+    pool *= hash_a[1:5]
+    pool ^= pool >> 16
+    hashed = np.empty((3, n), dtype=np.uint32)
+    for src, others in enumerate(_SS_OTHERS):
+        k = 4 + 3 * src
+        np.bitwise_xor(pool[src], hash_a[k : k + 3], out=hashed)
+        hashed *= hash_a[k + 1 : k + 4]
+        hashed ^= hashed >> 16
+        hashed *= _SS_MIX_R
+        mixed = pool[others]
+        mixed *= _SS_MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> 16
+        pool[others] = mixed
+    # generate_state(4, np.uint64) draws eight uint32 words, cycling through
+    # the pool, and pairs them little-end first into uint64 words.
+    state = np.empty((n, 8), dtype=np.uint32)
+    state[:, :4] = pool.T
+    state[:, 4:] = pool.T
+    state ^= _SS_HASH_B[:8]
+    state *= _SS_HASH_B[1:]
+    state ^= state >> 16
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands a PCG64 the seed words
+    ``_rung_seed_words`` computed for it.
+
+    Defined on first use: NumPy imports ``numpy.random`` lazily, and
+    importing it along with this module raised the peak RSS of every
+    process by about 0.5 MB, table or not.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for (4, np.uint64); the identity test skips np.dtype.
+            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+                raise ValueError(f"seed words are 4 x uint64, not {n_words} x {np.dtype(dtype)}")
+            return self._words
+
+    return SeedWords
+
+
 class SyntheticBackend:
-    """Probe backend over a synthetic instance; deterministic per (seed, id, sizes)."""
+    """Probe backend over a synthetic instance; deterministic per (seed, id, sizes).
+
+    Each probe's draw is seeded with ``SeedSequence([seed, id, s_tr,
+    s_te])``. Over at least ``_RUNG_TABLE_MIN_CONFIGS`` configurations, with
+    a seed and sizes below 2**32, the first probe at a rung ``(s_tr, s_te)``
+    computes the seed words of every configuration at that rung in one
+    vectorised pass and keeps them (32 bytes per configuration and rung);
+    the draws are bit-identical to the per-probe seeding.
+    """
 
     def __init__(self, instance: SyntheticInstance, seed: int):
         if seed < 0:
@@ -263,6 +399,8 @@ class SyntheticBackend:
         self._instance = instance
         self._seed = seed
         self._labels = tuple(f"curve-{i + 1}" for i in range(instance.n_configs))
+        self._tabled = seed < 2**32 and instance.n_configs >= _RUNG_TABLE_MIN_CONFIGS
+        self._rung_words: dict[tuple[int, int], np.ndarray] = {}
 
     @property
     def instance(self) -> SyntheticInstance:
@@ -297,6 +435,13 @@ class SyntheticBackend:
         # with no draw to seed.
         if s_te >= self._instance.max_test_size:
             return probe_synthetic(spec, s_tr, s_te, None, population_test=True)
+        words = self._rung_words.get((s_tr, s_te))
+        if words is None and self._tabled and 0 < s_tr < 2**32 and 0 < s_te < 2**32:
+            words = _rung_seed_words(self._seed, self.n_configs, s_tr, s_te)
+            self._rung_words[s_tr, s_te] = words
+        if words is not None:
+            bits = np.random.PCG64(_seed_words_type()(words[config_id - 1]))
+            return probe_synthetic(spec, s_tr, s_te, bits)
         entropy = [self._seed, config_id, s_tr, s_te]
         # SeedSequence splits each int of a list into 32-bit words, so when
         # every int is one word a uint32 array gives the same pool, faster.

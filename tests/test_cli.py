@@ -396,6 +396,34 @@ def test_run_instance_nan_curve_value_exits_1(synthetic_setup, capsys):
 
 
 @pytest.mark.parametrize(
+    "curve, instance_keys, key",
+    [
+        # Each exited 0 (the first with an infinite cost in the trace and
+        # report, the second on a 1-row instance) or, for the string, ended
+        # with a TypeError traceback.
+        ({"kappa": math.inf}, {}, "kappa"),
+        ({}, {"max_train_size": True}, "max_train_size"),
+        ({}, {"max_train_size": 2000000.5}, "max_train_size"),
+        ({"a_inf": "0.9"}, {}, "a_inf"),
+        # An integer beyond the float range failed the first probe, exit 2.
+        ({"kappa": 10**400}, {}, "kappa"),
+        ({"plateau": [1, math.inf]}, {}, "plateau"),
+        ({}, {"curves": 5}, "curves"),
+    ],
+)
+def test_run_invalid_instance_file_exits_1(synthetic_setup, capsys, curve, instance_keys, key):
+    tmp_path, config_path, _ = synthetic_setup
+    instance = json.loads((tmp_path / "instance.json").read_text())
+    instance["curves"][0].update(curve)
+    instance.update(instance_keys)
+    (tmp_path / "instance.json").write_text(json.dumps(instance))
+    assert main(["run", str(config_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "error: invalid synthetic instance" in err and key in err
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("holdout", "x"), ("holdout", [0.3]), ("split_seed", "x"), ("header", "false")],
 )

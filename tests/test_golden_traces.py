@@ -10,10 +10,12 @@ traces on purpose re-records them and says so.
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from abcselect.cli import EXIT_OK, main
 from abcselect.engine import run_abc, select_with_budget
 from abcselect.harness import (
     make_plateau_instance,
@@ -25,6 +27,7 @@ from abcselect.scheduler import SchedulerKind
 
 from conftest import fresh_run_inputs
 
+ROOT = Path(__file__).resolve().parent.parent
 SCHEDULERS = {
     "gradient_ci": SchedulerKind.GRADIENT_CI,
     "ucb": SchedulerKind.UCB,
@@ -115,3 +118,18 @@ def test_every_case_is_recorded():
 def test_trace_matches_golden(case):
     assert case_digest(case) == GOLDEN[case]
 
+
+def test_shipped_wide_run_is_the_uniform200_case(tmp_path):
+    # configs/run_wide.json runs the shipped instances/uniform_200.json
+    # through the CLI: the uniform200/gradient_ci case, over the backend's
+    # rung tables.
+    instance = SyntheticInstance.load(ROOT / "instances" / "uniform_200.json")
+    assert instance == stratified_uniform_instance(7, 200)
+    config = json.loads((ROOT / "configs" / "run_wide.json").read_text())
+    config["backend"]["synthetic"] = str(ROOT / "instances" / "uniform_200.json")
+    config["output"] = {"trace": str(tmp_path / "t.jsonl"), "report": str(tmp_path / "r.json")}
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert main(["run", str(tmp_path / "run.json")]) == EXIT_OK
+    states, backend, params = fresh_run_inputs(instance, seed=config["params"]["seed"])
+    _, trace = run_abc(states, backend, params, SCHEDULERS[config["scheduler"]])
+    assert (tmp_path / "t.jsonl").read_text() == trace.to_jsonl()

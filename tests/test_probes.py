@@ -57,8 +57,11 @@ class TestCurveSpec:
         with pytest.raises(ValueError):
             basic_spec(plateau=(10, 5))
         for key in ("b", "beta", "overfit_gap", "gamma", "kappa", "alpha"):
-            with pytest.raises(ValueError, match=f"^{key} must be"):
-                basic_spec(**{key: math.nan})
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                    basic_spec(**{key: value})
+        with pytest.raises(ValueError, match="plateau"):
+            basic_spec(plateau=(10, math.inf))
 
     def test_dict_roundtrip(self):
         spec = basic_spec(plateau=(10, 20))
@@ -155,6 +158,54 @@ class TestSyntheticBackend:
         )
         backend = SyntheticBackend(instance, seed=seed)
         assert backend.probe(config_id, s_tr, s_te) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, probes._RUNG_TABLE_MIN_CONFIGS, 3000]),
+        s_tr=st.integers(0, 2**32 - 1),
+        s_te=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rung_seed_words_match_seed_sequence(self, seed, n, s_tr, s_te, data):
+        words = probes._rung_seed_words(seed, n, s_tr, s_te)
+        assert words.shape == (n, 4) and words.dtype == np.uint64
+        for config_id in {1, n, data.draw(st.integers(1, n))}:
+            entropy = np.array([seed, config_id, s_tr, s_te], dtype=np.uint32)
+            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words[config_id - 1], expected)
+            row = probes._seed_words_type()(words[config_id - 1])
+            tabled = np.random.Generator(np.random.PCG64(row))
+            seeded = np.random.default_rng(np.random.SeedSequence(entropy))
+            np.testing.assert_array_equal(tabled.binomial(2000, 0.7, 8), seeded.binomial(2000, 0.7, 8))
+
+    @pytest.mark.parametrize(
+        "seed, tabled",
+        [(0, True), (2**32 - 1, True), (2**32, False), (2**62 + 3, False)],
+    )
+    def test_rung_table_probes_match_per_key_seeding(self, seed, tabled):
+        n = probes._RUNG_TABLE_MIN_CONFIGS
+        curves = tuple(basic_spec(a_inf=0.6 + 0.3 * i / n) for i in range(n))
+        instance = SyntheticInstance("t", curves, max_train_size=2**34, max_test_size=2**33)
+        backend = SyntheticBackend(instance, seed=seed)
+        # Two rungs, each probed again, a rung whose sizes take two words, and
+        # full-test-set keys, which draw nothing.
+        keys = [(i, s_tr, s_te) for s_tr, s_te in ((1000, 2000), (2000, 4000))
+                for i in (1, n, 7)]
+        keys += keys + [(3, 2**32, 2**33 - 1), (5, 1000, 2**33), (n, 2**34, 2**33)]
+        for config_id, s_tr, s_te in keys:
+            population = s_te >= instance.max_test_size
+            entropy = None if population else np.random.SeedSequence([seed, config_id, s_tr, s_te])
+            expected = probe_synthetic(curves[config_id - 1], s_tr, s_te, entropy, population)
+            assert backend.probe(config_id, s_tr, s_te) == expected
+        assert sorted(backend._rung_words) == ([(1000, 2000), (2000, 4000)] if tabled else [])
+
+    def test_small_backend_keeps_per_key_seeding(self):
+        n = probes._RUNG_TABLE_MIN_CONFIGS - 1
+        instance = SyntheticInstance("t", (basic_spec(),) * n, 100_000, 200_000)
+        backend = SyntheticBackend(instance, seed=9)
+        backend.probe(n, 1000, 2000)
+        assert backend._rung_words == {}
 
     def test_truncation_and_file_roundtrip(self, tmp_path):
         inst = self.make_instance()

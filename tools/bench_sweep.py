@@ -39,19 +39,26 @@ Each pass, in a fresh process, records:
   curves, the audit of its trace and the trace's SHA-256) for seeds 1 to 5,
   each the median of several units: unit seconds, the trace's SHA-256, and
   on that trace the audit's replay µs per round and ``RunTrace.to_jsonl``
-  ms.
+  ms;
+* synthetic probes: ``SyntheticBackend.probe`` over a fixed key list, the
+  keys a gradient-CI run visits on the sweep's family at n = 10, 100, 2000
+  and 10,000: µs per probe on a fresh backend (cold: it builds its rung
+  tables) and again on the same backend (warm), a SHA-256 over the
+  outcomes, and the µs to build one rung's seed-word table at that n (null
+  for a program without one).
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
 host. µs per round is the median over repeats; the family table is
 machine-independent and is taken once per side; the experiment's wall
-seconds, the learner timings, the learner_csv wall seconds and the
+seconds, the learner timings, the learner_csv wall seconds, the
 wide_synthetic unit seconds, audit µs per round and to_jsonl ms (each
-summed over the seeds) are kept per pass, so that pass i of the two sides
-is a pair. The record also carries the machine, the number of traces,
-experiment metrics rows, SGD weight digests, learner_csv runs and
-wide_synthetic traces that differ between the sides (none may move), and
-the gate: µs per round at the largest n over that at the smallest, per
+summed over the seeds) and the synthetic probe timings are kept per pass,
+so that pass i of the two sides is a pair. The record also carries the
+machine, the number of traces, experiment metrics rows, SGD weight
+digests, learner_csv runs, wide_synthetic traces and synthetic probe
+outcome lists that differ between the sides (none may move), and the
+gate: µs per round at the largest n over that at the smallest, per
 scheduler. ``--quick`` runs a tiny version, as a self-test.
 """
 
@@ -70,6 +77,9 @@ from pathlib import Path
 
 NS = (10, 100, 1000, 3000, 10000)
 QUICK_NS = (10, 100)
+# Sizes of the synthetic probe timings: below and above the rung-table
+# crossover, the benchmark's wide_synthetic n and the sweep's largest.
+PROBE_NS, QUICK_PROBE_NS = (10, 100, 2000, 10000), (10, 100)
 # Family -> runs, as in the acceptance suite's certified-families test.
 FAMILY_RUNS = {"plateau": 50, "sweep": 40, "monte_carlo": 40, "skewed": 40, "decoy": 40}
 SWEEP_SEED = 3
@@ -93,21 +103,22 @@ WIDE_SEEDS, QUICK_WIDE_SEEDS, WIDE_UNITS = (1, 2, 3, 4, 5), (1,), 5
 def _worker(
     src: str, ns: tuple[int, ...], family_runs: int, min_seconds: float, experiment_reps: int,
     learner_sizes: tuple[int, ...], csv_seeds: tuple[int, ...], csv_rows: int,
-    wide_seeds: tuple[int, ...], wide_units: int,
+    wide_seeds: tuple[int, ...], wide_units: int, probe_ns: tuple[int, ...],
 ) -> dict:
     """One pass over the program under ``src``, with up to ``family_runs``
     runs per family and scheduler, ``experiment_reps`` repetitions per
     experiment cell (0: no experiment), learner probes at ``learner_sizes``,
     learner_csv runs for ``csv_seeds`` on ``csv_rows`` rows and
     ``wide_units`` wide_synthetic units per seed of ``wide_seeds`` (the
-    quick size when ``wide_units`` is 1); returns the measurements."""
+    quick size when ``wide_units`` is 1) and synthetic probes at
+    ``probe_ns``; returns the measurements."""
     sys.path.insert(0, src)
     import dataclasses
     import logging
 
     import numpy as np
 
-    from abcselect import harness
+    from abcselect import harness, probes
     from abcselect.core import RunParams, initial_states
     from abcselect.engine import run_abc
     from abcselect.probes import CurveSpec, SyntheticBackend, SyntheticInstance
@@ -156,6 +167,45 @@ def _worker(
                 "rounds": trace.n_rounds,
                 "trace_sha256": hashlib.sha256(trace.to_jsonl().encode()).hexdigest(),
             }
+
+    synthetic: dict[str, dict] = {}
+    for n in probe_ns:
+        instance = uniform(n)
+        backend = SyntheticBackend(instance, seed=SWEEP_SEED)
+        keys, probe = [], backend.probe
+
+        def recording_probe(*key):
+            keys.append(key)
+            return probe(*key)
+
+        backend.probe = recording_probe
+        params = RunParams(EPSILON, DELTA, n, 1000, 2000, 2.0, 1.0,
+                           instance.max_train_size, instance.max_test_size, SWEEP_SEED)
+        run_abc(initial_states(list(backend.labels), params), backend, params,
+                SchedulerKind.GRADIENT_CI)
+        cold, warm, spent = [], [], 0.0
+        while not cold or spent < min_seconds:
+            backend = SyntheticBackend(instance, seed=SWEEP_SEED)
+            for sample in (cold, warm):
+                start = time.perf_counter()
+                outcomes = [backend.probe(*key) for key in keys]
+                seconds = time.perf_counter() - start
+                sample.append(seconds / len(keys) * 1e6)
+                spent += seconds
+        build = getattr(probes, "_rung_seed_words", None)
+        builds = []
+        while build is not None and (len(builds) < 5 or sum(builds) < min_seconds / 10):
+            start = time.perf_counter()
+            build(SWEEP_SEED, n, 1000, 2000)
+            builds.append(time.perf_counter() - start)
+        synthetic[str(n)] = {
+            "keys": len(keys),
+            "rungs": len(set(key[1:] for key in keys)),
+            "cold_us_per_probe": statistics.median(cold),
+            "warm_us_per_probe": statistics.median(warm),
+            "table_build_us": statistics.median(builds) * 1e6 if builds else None,
+            "outcomes_sha256": hashlib.sha256(repr(outcomes).encode()).hexdigest(),
+        }
 
     families: dict[str, dict] = {}
     makers = {
@@ -232,7 +282,7 @@ def _worker(
     learner_csv = _learner_csv(Path(src).parent, csv_seeds, csv_rows) if csv_seeds else {}
     wide = _wide(Path(src).parent, wide_seeds, wide_units) if wide_seeds else {}
     return {"sweep": sweep, "families": families, "experiment": experiment, "learner": learner,
-            "learner_csv": learner_csv, "wide": wide}
+            "learner_csv": learner_csv, "wide": wide, "synthetic": synthetic}
 
 
 # The acceptance suite's criterion-11 grid: four SGD variants, a stump and the
@@ -397,13 +447,15 @@ def _machine() -> dict:
 
 
 def _pass(root: Path, ns, family_runs: int, min_seconds: float, experiment_reps: int,
-          learner_sizes, csv_seeds, csv_rows: int, wide_seeds, wide_units: int) -> dict:
+          learner_sizes, csv_seeds, csv_rows: int, wide_seeds, wide_units: int,
+          probe_ns) -> dict:
     cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", str(root / "src"),
            "--ns", ",".join(map(str, ns)), "--family-runs", str(family_runs),
            "--min-seconds", str(min_seconds), "--experiment-reps", str(experiment_reps),
            "--learner-sizes", ",".join(map(str, learner_sizes)),
            "--csv-seeds", ",".join(map(str, csv_seeds)), "--csv-rows", str(csv_rows),
-           "--wide-seeds", ",".join(map(str, wide_seeds)), "--wide-units", str(wide_units)]
+           "--wide-seeds", ",".join(map(str, wide_seeds)), "--wide-units", str(wide_units),
+           "--probe-ns", ",".join(map(str, probe_ns))]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -484,6 +536,19 @@ def _side(passes: list[dict]) -> dict:
             values = [s[key] for s in samples]
             wide[key] = round(statistics.median(values), digits)
             wide[f"{key}_passes"] = [round(v, digits) for v in values]
+    synthetic = {}
+    for n, first in passes[0]["synthetic"].items():
+        samples = [p["synthetic"][n] for p in passes]
+        if len({s["outcomes_sha256"] for s in samples}) != 1:
+            raise SystemExit(f"synthetic probes n={n}: outcomes differ between passes")
+        synthetic[n] = {k: first[k] for k in ("keys", "rungs", "outcomes_sha256")}
+        for key in ("cold_us_per_probe", "warm_us_per_probe", "table_build_us"):
+            values = [s[key] for s in samples]
+            if None in values:
+                synthetic[n][key] = None
+                continue
+            synthetic[n][key] = round(statistics.median(values), 2)
+            synthetic[n][f"{key}_passes"] = [round(v, 2) for v in values]
     gate = {}
     for kind, cells in sweep.items():
         ns = sorted(cells, key=int)
@@ -491,7 +556,8 @@ def _side(passes: list[dict]) -> dict:
         gate[kind] = {"ratio": round(ratio, 2), "within_2x": ratio <= 2.0,
                       "n": [int(ns[0]), int(ns[-1])]}
     return {"sweep": sweep, "families": families, "experiment": experiment,
-            "learner": learner, "learner_csv": learner_csv, "wide": wide, "gate": gate}
+            "learner": learner, "learner_csv": learner_csv, "wide": wide,
+            "synthetic": synthetic, "gate": gate}
 
 
 def _moved(parent: dict, change: dict) -> dict:
@@ -524,12 +590,18 @@ def _moved(parent: dict, change: dict) -> dict:
     old_wide = parent["wide"].get("runs", {})
     new_wide = change["wide"].get("runs", {})
     moved_wide = sum(old_wide.get(seed) != run for seed, run in new_wide.items())
+    moved_probes = sum(
+        parent["synthetic"].get(n, {}).get("outcomes_sha256") != side["outcomes_sha256"]
+        for n, side in change["synthetic"].items()
+    )
     return {"sweep_cells": len(sweep_cells), "moved_sweep_cells": moved_sweep,
             "family_runs": runs, "moved_family_runs": moved_runs,
             "experiment_rows": rows, "moved_experiment_rows": moved_rows,
             "sgd_weights": weights, "moved_sgd_weights": moved_weights,
             "learner_csv_runs": len(new_csv), "moved_learner_csv_runs": moved_csv,
-            "wide_traces": len(new_wide), "moved_wide_traces": moved_wide}
+            "wide_traces": len(new_wide), "moved_wide_traces": moved_wide,
+            "synthetic_probe_lists": len(change["synthetic"]),
+            "moved_synthetic_probe_lists": moved_probes}
 
 
 def _pair(old: list[float], new: list[float], unit: str, digits: int) -> dict:
@@ -588,15 +660,17 @@ def main() -> int:
     parser.add_argument("--csv-rows", type=int, default=0, help=argparse.SUPPRESS)
     parser.add_argument("--wide-seeds", default="", help=argparse.SUPPRESS)
     parser.add_argument("--wide-units", type=int, default=0, help=argparse.SUPPRESS)
+    parser.add_argument("--probe-ns", default="", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         ns = tuple(int(n) for n in args.ns.split(","))
         learner_sizes = tuple(int(s) for s in args.learner_sizes.split(",") if s)
         csv_seeds = tuple(int(s) for s in args.csv_seeds.split(",") if s)
         wide_seeds = tuple(int(s) for s in args.wide_seeds.split(",") if s)
+        probe_ns = tuple(int(n) for n in args.probe_ns.split(",") if n)
         result = _worker(args.worker, ns, args.family_runs, args.min_seconds,
                          args.experiment_reps, learner_sizes, csv_seeds, args.csv_rows,
-                         wide_seeds, args.wide_units)
+                         wide_seeds, args.wide_units, probe_ns)
         print(json.dumps(result))
         return 0
     if args.repeats < 1:
@@ -605,12 +679,12 @@ def main() -> int:
     ns, family_runs, min_seconds, repeats = NS, max(FAMILY_RUNS.values()), 0.5, args.repeats
     experiment_reps, learner_sizes = EXPERIMENT_REPS, LEARNER_SIZES
     csv_seeds, csv_rows = CSV_SEEDS, CSV_ROWS
-    wide_seeds, wide_units = WIDE_SEEDS, WIDE_UNITS
+    wide_seeds, wide_units, probe_ns = WIDE_SEEDS, WIDE_UNITS, PROBE_NS
     if args.quick:
         ns, family_runs, min_seconds, repeats = QUICK_NS, 2, 0.01, 1
         experiment_reps, learner_sizes = 1, QUICK_LEARNER_SIZES
         csv_seeds, csv_rows = QUICK_CSV_SEEDS, QUICK_CSV_ROWS
-        wide_seeds, wide_units = QUICK_WIDE_SEEDS, 1
+        wide_seeds, wide_units, probe_ns = QUICK_WIDE_SEEDS, 1, QUICK_PROBE_NS
     roots = {"change": Path.cwd()}
     if args.parent:
         roots["parent"] = Path(args.parent).resolve()
@@ -626,7 +700,7 @@ def main() -> int:
             passes[name].append(
                 _pass(roots[name], ns, family_runs if rep == 0 else 0, min_seconds,
                       experiment_reps, learner_sizes, csv_seeds, csv_rows, wide_seeds,
-                      wide_units)
+                      wide_units, probe_ns)
             )
             print(f"pass {rep + 1}/{repeats} {name} done at "
                   f"{time.perf_counter() - started:.0f} s", file=sys.stderr)
@@ -650,6 +724,14 @@ def main() -> int:
                        [p["wide"][key] for p in passes["change"]], unit, digits)
             for key, unit, digits in (("unit_s", "s", 4), ("audit_us_per_round", "us", 2),
                                       ("jsonl_ms", "ms", 2))
+        }
+        record["synthetic_probe_pairs"] = {
+            n: {
+                key: _pair([p["synthetic"][n][key] for p in passes["parent"]],
+                           [p["synthetic"][n][key] for p in passes["change"]], "us", 2)
+                for key in ("cold_us_per_probe", "warm_us_per_probe")
+            }
+            for n in passes["change"][0]["synthetic"]
         }
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if args.out:
