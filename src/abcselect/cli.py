@@ -12,15 +12,18 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
 from .baselines import full_run, successive_halving
-from .core import BackendError, RunParams, RunTrace, initial_states, load_trace_rounds
+from .core import (
+    BackendError, DocumentError, RunParams, RunTrace, initial_states, load_trace_rounds,
+    read_list, read_object, read_value,
+)
 from .engine import build_report, run_abc, select_with_budget, verify_selection
 from .harness import (
+    _RUN_SETTINGS,
     ExperimentSpec,
     InstanceSource,
     containment_audit,
@@ -40,50 +43,6 @@ logger = logging.getLogger(__name__)
 
 class ConfigError(Exception):
     """Invalid configuration file; message names the offending key."""
-
-
-def _check_keys(d: dict, allowed: set[str], where: str) -> None:
-    """Reject a section of a config file, named ``where``, that is not a JSON
-    object or that has a key outside ``allowed``. Every section goes through
-    here before any other code reads it."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
-
-
-def _list(value, what: str, kinds: tuple[type, ...] = ()) -> list:
-    """``value``, the config entry named ``what``, which must be a JSON list,
-    every item of one of ``kinds`` when given (``bool`` is no number here)."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{what} must be a list, got {value!r}")
-    for x in value if kinds else ():
-        if type(x) not in kinds:
-            names = " or ".join(k.__name__ for k in kinds)
-            raise ConfigError(f"{what} must list {names} values, got {x!r}")
-    return value
-
-
-def _number(conf: dict, key: str, default, where: str, kind: type = float):
-    """``conf[key]``, or ``default`` when absent, as a ``kind`` (``float`` or
-    ``int``); ``conf`` is the config section named ``where``. The value must
-    be a finite JSON number, not a bool or a string, and for ``int`` an
-    integral one: nothing is truncated."""
-    value = conf.get(key, default)
-    if kind is int:
-        integral = type(value) is int or (type(value) is float and value.is_integer())
-        if not integral:
-            raise ConfigError(f"key {key!r} in {where} must be an integer, got {value!r}")
-    elif type(value) not in (int, float):
-        raise ConfigError(f"key {key!r} in {where} must be a number, got {value!r}")
-    try:
-        number = kind(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ConfigError(f"key {key!r} in {where} is out of range, got {value!r}") from exc
-    if kind is float and not math.isfinite(number):  # JSON NaN and Infinity
-        raise ConfigError(f"key {key!r} in {where} must be finite, got {value!r}")
-    return number
 
 
 def _load_json(path: str | Path, what: str) -> dict:
@@ -111,62 +70,58 @@ def _parse_source(
     synthetic instance file or a CSV dataset with a learner grid. Relative
     paths resolve against ``base_dir``; every file must exist. ``conf`` may
     also hold ``caller_keys``, which the caller reads itself."""
-    _check_keys(
+    read_object(
         conf,
-        {"synthetic", "csv", "header", "holdout", "learners", "split_seed", *caller_keys},
         where,
+        {"synthetic", "csv", "header", "holdout", "learners", "split_seed", *caller_keys},
     )
     if ("synthetic" in conf) == ("csv" in conf):
         raise ConfigError(f"{where} needs exactly one of 'synthetic' or 'csv'")
     if "synthetic" in conf:
-        path = _resolve(conf["synthetic"], base_dir)
+        path = _resolve(read_value(conf, "synthetic", where, str), base_dir)
         if not path.exists():
             raise FileNotFoundError(f"synthetic instance file not found: {path}")
         try:
             return InstanceSource(name=where, synthetic=SyntheticInstance.load(path))
         except ValueError as exc:
             raise ConfigError(f"invalid synthetic instance {path}: {exc}") from exc
-    csv_path = _resolve(conf["csv"], base_dir)
+    csv_path = _resolve(read_value(conf, "csv", where, str), base_dir)
     if not csv_path.exists():
         raise FileNotFoundError(f"dataset file not found: {csv_path}")
+    grid = read_list(conf.get("learners", []), f"key 'learners' in {where}")
     try:
-        learners = tuple(LearnerSpec.from_dict(d) for d in conf.get("learners", []))
+        learners = tuple(LearnerSpec.from_dict(d, f"learners[{i}]") for i, d in enumerate(grid))
     except ValueError as exc:
         raise ConfigError(f"invalid learners in {where}: {exc}") from exc
     if not learners:
         raise ConfigError(f"{where} key 'learners' must list at least one learner")
-    header = conf.get("header", False)
-    if type(header) is not bool:
-        raise ConfigError(f"key 'header' in {where} must be true or false, got {header!r}")
     return InstanceSource(
         name=where,
         csv_path=str(csv_path),
         learners=learners,
-        holdout=_number(conf, "holdout", 0.3, where),
-        header=header,
-        split_seed=_number(conf, "split_seed", 0, where, int),
+        holdout=read_value(conf, "holdout", where, default=0.3),
+        header=read_value(conf, "header", where, bool, False),
+        split_seed=read_value(conf, "split_seed", where, int, 0),
     )
 
 
-def _build_params(conf: dict, backend, seed: int) -> RunParams:
-    alpha = _number(conf, "alpha_cost_exponent", 1.0, "params")
-    try:
-        if "step_factor_c" in conf:
-            c = _number(conf, "step_factor_c", 0.0, "params")
-        else:
-            c = optimal_step_size(alpha)
-        return RunParams.for_backend(
-            backend,
-            epsilon=_number(conf, "epsilon", 0.01, "params"),
-            delta=_number(conf, "delta", 0.5, "params"),
-            initial_train_size=_number(conf, "initial_train_size", 1000, "params", int),
-            initial_test_size=_number(conf, "initial_test_size", 2000, "params", int),
-            step_factor_c=c,
-            alpha_cost_exponent=alpha,
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid params: {exc}") from exc
+def _run_settings(conf: dict, where: str) -> dict:
+    """The ``_RUN_SETTINGS`` that a run config's ``params`` and an
+    experiment spec share, read from ``conf`` (named ``where``) with their
+    defaults. Without a ``step_factor_c``, the factor is the optimal one for
+    ``alpha_cost_exponent``."""
+    alpha = read_value(conf, "alpha_cost_exponent", where, default=1.0)
+    if "step_factor_c" in conf:
+        c = read_value(conf, "step_factor_c", where)
+    else:
+        c = optimal_step_size(alpha)
+    return {
+        "delta": read_value(conf, "delta", where, default=0.5),
+        "initial_train_size": read_value(conf, "initial_train_size", where, int, 1000),
+        "initial_test_size": read_value(conf, "initial_test_size", where, int, 2000),
+        "step_factor_c": c,
+        "alpha_cost_exponent": alpha,
+    }
 
 
 def _resolve_seed(conf_params: dict) -> int:
@@ -174,7 +129,7 @@ def _resolve_seed(conf_params: dict) -> int:
     default); either must be an integer in [0, 2**64)."""
     env = os.environ.get("ABC_SEED")
     if env is None:
-        where, seed = "key 'seed' in params", _number(conf_params, "seed", 0, "params", int)
+        where, seed = "key 'seed' in params", read_value(conf_params, "seed", "params", int, 0)
     else:
         where = "ABC_SEED"
         try:
@@ -188,23 +143,11 @@ def _resolve_seed(conf_params: dict) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     conf = _load_json(args.config, "run config")
-    _check_keys(
-        conf, {"backend", "params", "scheduler", "method", "budget", "output"}, "run config"
+    read_object(
+        conf, "run config", {"backend", "params", "scheduler", "method", "budget", "output"}
     )
     params_conf = conf.get("params", {})
-    _check_keys(
-        params_conf,
-        {
-            "epsilon",
-            "delta",
-            "initial_train_size",
-            "initial_test_size",
-            "step_factor_c",
-            "alpha_cost_exponent",
-            "seed",
-        },
-        "params",
-    )
+    read_object(params_conf, "params", {"epsilon", "seed", *_RUN_SETTINGS})
     seed = _resolve_seed(params_conf)
     backend_conf = conf.get("backend", {})
     source = _parse_source(
@@ -214,19 +157,24 @@ def cmd_run(args: argparse.Namespace) -> int:
         backend = SyntheticBackend(source.synthetic, seed=seed)
     else:
         cost_model = backend_conf.get("cost_model")
+        what = "key 'cost_model' in backend"
         if cost_model is not None:
-            what = "key 'cost_model' in backend"
-            pairs = [_list(p, what, (int, float)) for p in _list(cost_model, what, (list,))]
-            if len(pairs) != len(source.learners) or any(len(p) != 2 for p in pairs):
-                raise ConfigError(f"{what} must list one [kappa, alpha] pair per learner")
-            if not all(0.0 < x < math.inf for p in pairs for x in p):
-                raise ConfigError(f"{what} must hold finite numbers > 0, got {cost_model!r}")
+            cost_model = [read_list(p, what, float) for p in read_list(cost_model, what, list)]
         handle = load_csv_dataset(
             source.csv_path, header=source.header, holdout=source.holdout,
             seed=source.split_seed,
         )
-        backend = LearnerBackend(handle, source.learners, seed=seed, cost_model=cost_model)
-    params = _build_params(params_conf, backend, seed)
+        try:
+            backend = LearnerBackend(handle, source.learners, seed=seed, cost_model=cost_model)
+        except ValueError as exc:  # the cost model's sizes and range, which the backend checks
+            raise ConfigError(f"invalid {what}: {exc}") from exc
+    try:
+        params = RunParams.for_backend(
+            backend, epsilon=read_value(params_conf, "epsilon", "params", default=0.01),
+            seed=seed, **_run_settings(params_conf, "params"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid params: {exc}") from exc
 
     method = args.method or conf.get("method", "abc")
     if method not in ("abc", "full_run", "successive_halving"):
@@ -236,14 +184,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         scheduler = SchedulerKind(sched_name)
     except ValueError as exc:
         raise ConfigError(f"unknown key 'scheduler' value {sched_name!r}") from exc
-    budget = args.budget if args.budget is not None else conf.get("budget")
-    if budget is not None and not (type(budget) in (int, float) and budget > 0):
+    budget = args.budget
+    if budget is None and "budget" in conf:
+        budget = read_value(conf, "budget", "run config")
+    if budget is not None and not budget > 0:
         raise ConfigError(f"key 'budget' must be a number > 0, got {budget!r}")
 
-    out_conf = conf.get("output", {})
-    _check_keys(out_conf, {"trace", "report"}, "output")
-    trace_path = Path(out_conf.get("trace", "out/trace.jsonl"))
-    report_path = Path(out_conf.get("report", "out/report.json"))
+    out_conf = read_object(conf.get("output", {}), "output", {"trace", "report"})
+    trace_path = Path(read_value(out_conf, "trace", "output", str, "out/trace.jsonl"))
+    report_path = Path(read_value(out_conf, "report", "output", str, "out/report.json"))
     trace_path.parent.mkdir(parents=True, exist_ok=True)
     report_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -321,55 +270,33 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _parse_experiment(conf: dict, base_dir: Path) -> tuple[ExperimentSpec, Path]:
-    _check_keys(
-        conf,
-        {
-            "name",
-            "instances",
-            "methods",
-            "epsilon_grid",
-            "n_configs_grid",
-            "repetitions",
-            "base_seed",
-            "budget_grid",
-            "delta",
-            "initial_train_size",
-            "initial_test_size",
-            "step_factor_c",
-            "alpha_cost_exponent",
-            "output_dir",
-        },
-        "experiment spec",
-    )
+    where = "experiment spec"
+    # A spec sets ExperimentSpec's fields, with instances in place of sources.
+    keys = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"sources"}
+    read_object(conf, where, {"name", "instances", "output_dir", *keys})
 
-    def spec_list(key: str, kinds: tuple[type, ...] = ()) -> tuple:
-        return tuple(_list(conf.get(key, []), f"key {key!r} in experiment spec", kinds))
-
-    def spec_number(key: str, default, kind: type = float):
-        return _number(conf, key, default, "experiment spec", kind)
+    def spec_list(key: str, kind: type | None = None) -> tuple:
+        return tuple(read_list(conf.get(key, []), f"key {key!r} in {where}", kind))
 
     sources = []
     for i, inst in enumerate(spec_list("instances")):
         source = _parse_source(inst, base_dir, f"instances[{i}]", {"name"})
-        sources.append(dataclasses.replace(source, name=inst.get("name", f"instance-{i}")))
+        name = read_value(inst, "name", f"instances[{i}]", str, f"instance-{i}")
+        sources.append(dataclasses.replace(source, name=name))
     try:
         spec = ExperimentSpec(
             sources=tuple(sources),
             methods=spec_list("methods"),
-            epsilon_grid=spec_list("epsilon_grid", (int, float)),
-            n_configs_grid=spec_list("n_configs_grid", (int,)),
-            repetitions=spec_number("repetitions", 100, int),
-            base_seed=spec_number("base_seed", 0, int),
-            budget_grid=spec_list("budget_grid", (int, float)),
-            delta=spec_number("delta", 0.5),
-            initial_train_size=spec_number("initial_train_size", 1000, int),
-            initial_test_size=spec_number("initial_test_size", 2000, int),
-            step_factor_c=spec_number("step_factor_c", 2.0),
-            alpha_cost_exponent=spec_number("alpha_cost_exponent", 1.0),
+            epsilon_grid=spec_list("epsilon_grid", float),
+            n_configs_grid=spec_list("n_configs_grid", int),
+            repetitions=read_value(conf, "repetitions", where, int, 100),
+            base_seed=read_value(conf, "base_seed", where, int, 0),
+            budget_grid=spec_list("budget_grid", float),
+            **_run_settings(conf, where),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid experiment spec: {exc}") from exc
-    out_dir = Path(conf.get("output_dir", "out/experiment"))
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+    out_dir = Path(read_value(conf, "output_dir", where, str, "out/experiment"))
     return spec, out_dir
 
 
@@ -405,10 +332,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise BackendError(
             "report lacks ground-truth accuracies; rerun with --structural-only"
         )
+    where = "key 'true_accuracies' in report"
+    ids = [str(i + 1) for i in range(params.n_configs)]
+    read_object(truths, where, ids, ids)
     trace = RunTrace(
         rounds=list(rounds),
         params=params,
-        true_accuracies={int(k): float(v) for k, v in truths.items()},
+        true_accuracies={int(k): read_value(truths, k, where) for k in truths},
     )
     containment = containment_audit([trace])
     print(f"containment threshold delta/n^2 = {containment.threshold:g}")
@@ -492,9 +422,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        # The trace and report an audit reads are a run's output: data, not configuration.
+        data = isinstance(exc, DocumentError) and args.command == "audit"
+        return EXIT_DATA if data else EXIT_CONFIG
     except (FileNotFoundError, OSError, BackendError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

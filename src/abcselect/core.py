@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field, fields
+from typing import TYPE_CHECKING, Collection
 
 if TYPE_CHECKING:
     from .probes import ProbeBackend
@@ -16,6 +16,7 @@ __all__ = [
     "BudgetReadout",
     "ConfidenceInterval",
     "ConfigurationState",
+    "DocumentError",
     "FULL_INTERVAL",
     "ProbeOutcome",
     "RunParams",
@@ -25,11 +26,86 @@ __all__ = [
     "clamp_interval",
     "initial_states",
     "load_trace_rounds",
+    "read_list",
+    "read_object",
+    "read_value",
 ]
 
 
 class BackendError(Exception):
     """A probe backend failed; carries the round context when raised by the engine."""
+
+
+# Every JSON document the program reads (run config, experiment spec,
+# instance file, learner grid, trace line, report params) goes through the
+# three readers below.
+
+
+class DocumentError(ValueError):
+    """A JSON document without the shape its reader expects; the message
+    names the document, the path in it and the key."""
+
+
+_KIND_NAMES = {
+    float: "a number", int: "an integer", bool: "true or false", str: "a string", list: "a list"
+}
+
+
+def _is_kind(value, kind: type) -> bool:
+    """Whether ``value``, as ``json.loads`` gives it, is of ``kind``: a
+    ``bool`` is never a number, and an ``int`` is also a ``float``."""
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def read_object(
+    value, where: str, allowed: Collection[str], required: Collection[str] = ()
+) -> dict:
+    """``value``, the part of a document named ``where``, which must be a JSON
+    object with no key outside ``allowed`` and every key of ``required``."""
+    if type(value) is not dict:
+        raise DocumentError(f"{where} must be a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in allowed:
+            raise DocumentError(f"unknown key {key!r} in {where}")
+    for key in required:
+        if key not in value:
+            raise DocumentError(f"{where} needs key {key!r}")
+    return value
+
+
+def read_value(
+    d: dict, key: str, where: str, kind: type = float, default=None, finite: bool = True
+):
+    """``d[key]``, or ``default`` when absent, as a ``kind`` (``float``,
+    ``int``, ``bool`` or ``str``); ``d`` is the object named ``where``. An
+    integral float is an ``int``. A ``float`` must fit the float range and,
+    if ``finite``, be neither NaN nor Infinity."""
+    value = d.get(key, default)
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    if not _is_kind(value, kind):
+        raise DocumentError(f"key {key!r} in {where} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        number = float(value)
+    except OverflowError as exc:
+        raise DocumentError(f"key {key!r} in {where} is out of range, got {value!r}") from exc
+    if finite and not math.isfinite(number):
+        raise DocumentError(f"key {key!r} in {where} must be finite, got {value!r}")
+    return number
+
+
+def read_list(value, name: str, kind: type | None = None) -> list:
+    """``value``, the list called ``name`` in messages, whose items must each
+    be of ``kind`` when given (an item is not converted: ``1.0`` is no
+    ``int`` here)."""
+    if type(value) is not list:
+        raise DocumentError(f"{name} must be a list, got {value!r}")
+    for item in value if kind else ():
+        if not _is_kind(item, kind):
+            raise DocumentError(f"{name} must list {_KIND_NAMES[kind]} per item, got {item!r}")
+    return value
 
 
 # The range of each run setting that a run and an experiment share: the
@@ -120,7 +196,11 @@ class RunParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunParams":
-        return cls(**d)
+        """The parameters ``to_dict`` wrote, as a report stores them under
+        ``params``: every field, each a number of its annotated kind."""
+        kinds = {f.name: int if f.type == "int" else float for f in fields(cls)}
+        read_object(d, "report params", kinds, kinds)
+        return cls(**{k: read_value(d, k, "report params", kind) for k, kind in kinds.items()})
 
 
 @dataclass(frozen=True)
@@ -272,22 +352,35 @@ class TraceRound:
 
     @classmethod
     def from_record(cls, record: dict) -> "TraceRound":
+        where = "trace record"
+        read_object(record, where, _RECORD_KEYS, _RECORD_KEYS)
+
+        def value(key: str, kind: type = float, finite: bool = True):
+            return read_value(record, key, where, kind, finite=finite)
+
         outcome = ProbeOutcome(
-            train_sample_size=record["s_tr"],
-            test_sample_size=record["s_te"],
-            train_accuracy=record["acc_train"],
-            test_accuracy=record["acc_test"],
-            cost=record["cost"],
+            train_sample_size=value("s_tr", int),
+            test_sample_size=value("s_te", int),
+            train_accuracy=value("acc_train"),
+            test_accuracy=value("acc_test"),
+            cost=value("cost", finite=False),  # a model cost can overflow to inf
         )
         return cls(
-            round_index=record["round"],
-            config_id=record["config_id"],
+            round_index=value("round", int),
+            config_id=value("config_id", int),
             outcome=outcome,
-            ci=ConfidenceInterval(record["lower"], record["upper"]),
-            incumbent_id=record["incumbent"],
-            pruned_ids=tuple(record["pruned"]),
-            snapshot=record["snapshot"],
+            ci=ConfidenceInterval(value("lower"), value("upper")),
+            incumbent_id=value("incumbent", int),
+            pruned_ids=tuple(read_list(record["pruned"], f"key 'pruned' in {where}", int)),
+            snapshot=value("snapshot", bool),
         )
+
+
+# The keys of a trace record, as ``TraceRound.to_record`` writes them.
+_RECORD_KEYS = (
+    "round", "config_id", "s_tr", "s_te", "acc_train", "acc_test",
+    "cost", "lower", "upper", "incumbent", "pruned", "snapshot",
+)
 
 
 @dataclass(frozen=True)
@@ -375,11 +468,16 @@ def _jsonl_line(r: TraceRound) -> str:
 
 
 def load_trace_rounds(path) -> list[TraceRound]:
-    """Read trace rounds back from a JSONL file."""
+    """Read trace rounds back from a JSONL file. A line that is not a round
+    as ``TraceRound.to_record`` writes it raises ``DocumentError`` naming
+    the line."""
     rounds = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                rounds.append(TraceRound.from_record(json.loads(line)))
+                try:
+                    rounds.append(TraceRound.from_record(json.loads(line)))
+                except ValueError as exc:  # not JSON, not a record, or out of range
+                    raise DocumentError(f"trace line {number} of {path}: {exc}") from exc
     return rounds

@@ -58,7 +58,6 @@ __all__ = [
     "METRICS_HEADER",
     "cell_seed",
     "containment_audit",
-    "halving_budget_curve",
     "make_expensive_decoy_instance",
     "make_monte_carlo_instance",
     "make_plateau_instance",
@@ -468,21 +467,6 @@ def _write_aggregates(rows: Sequence[MetricsRow], path: Path) -> None:
                     float(np.percentile(values, 90)),
                 ]
             writer.writerow(record)
-
-
-def halving_budget_curve(
-    backend: ProbeBackend,
-    initial_train_sizes: Sequence[int],
-) -> list[tuple[float, int]]:
-    """Successive-halving cost/selection at each initial size (test sample
-    is twice the train sample, both at most the full sizes). Returns (total
-    cost, selected id) pairs."""
-    points = []
-    ids = list(range(1, backend.n_configs + 1))
-    for init in initial_train_sizes:
-        selected, trace = successive_halving(ids, backend, init, 2 * init)
-        points.append((trace.wall_cost_total, selected))
-    return points
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,14 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache
-from numbers import Integral
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .core import ProbeOutcome
+from .core import DocumentError, ProbeOutcome, read_list, read_object, read_value
 
 __all__ = [
     "CurveSpec",
@@ -161,44 +160,17 @@ class CurveSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CurveSpec":
+    def from_dict(cls, d: dict, where: str = "curve") -> "CurveSpec":
+        """The curve ``to_dict`` wrote; ``where`` names it in error messages."""
         numbers = ("a_inf", "b", "beta", "overfit_gap", "gamma", "kappa", "alpha")
-        _check_fields(d, {*numbers, "plateau"}, "curve")
-        kwargs = {key: _json_number(d, key, "curve") for key in numbers}
+        read_object(d, where, {*numbers, "plateau"}, numbers)
         plateau = d.get("plateau")
         if plateau is not None:
-            if not (isinstance(plateau, list) and len(plateau) == 2
-                    and all(type(v) in (int, float) for v in plateau)):
-                raise ValueError(f"curve field 'plateau' must be [lo, hi], got {plateau!r}")
-            plateau = tuple(plateau)
-        return cls(plateau=plateau, **kwargs)
-
-
-def _check_fields(d, allowed: set[str], what: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{what} must be a JSON object, got {d!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} field {sorted(unknown)[0]!r}")
-
-
-def _json_number(d: dict, key: str, what: str, integral: bool = False):
-    """``d[key]``, which must be a JSON number (not a bool or a string):
-    if ``integral``, an integral one, returned as an int, else a float."""
-    if key not in d:
-        raise ValueError(f"{what} needs field {key!r}")
-    value = d[key]
-    if integral and type(value) is float and value.is_integer():
-        value = int(value)
-    if not (type(value) is int or (type(value) is float and not integral)):
-        kind = "an integer" if integral else "a number"
-        raise ValueError(f"{what} field {key!r} must be {kind}, got {value!r}")
-    if integral:
-        return value
-    try:
-        return float(value)
-    except OverflowError as exc:  # an integer beyond the float range
-        raise ValueError(f"{what} field {key!r} is out of range, got {value!r}") from exc
+            name = f"key 'plateau' in {where}"
+            plateau = tuple(read_list(plateau, name, int))
+            if len(plateau) != 2:
+                raise DocumentError(f"{name} must be [lo, hi], got {list(plateau)!r}")
+        return cls(plateau=plateau, **{key: read_value(d, key, where) for key in numbers})
 
 
 def probe_synthetic(
@@ -247,9 +219,8 @@ class SyntheticInstance:
         if not self.curves:
             raise ValueError("instance needs at least one curve")
         for key in ("max_train_size", "max_test_size"):
-            size = getattr(self, key)
-            if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {size!r}")
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
 
     @property
     def n_configs(self) -> int:
@@ -274,17 +245,14 @@ class SyntheticInstance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticInstance":
-        _check_fields(d, {"name", "max_train_size", "max_test_size", "curves"}, "instance")
-        for key in ("name", "curves"):
-            if key not in d:
-                raise ValueError(f"instance needs field {key!r}")
-        if not isinstance(d["curves"], list):
-            raise ValueError(f"instance field 'curves' must be a list, got {d['curves']!r}")
+        keys = ("name", "max_train_size", "max_test_size", "curves")
+        read_object(d, "instance", keys, keys)
+        curves = read_list(d["curves"], "key 'curves' in instance")
         return cls(
-            name=d["name"],
-            curves=tuple(CurveSpec.from_dict(c) for c in d["curves"]),
-            max_train_size=_json_number(d, "max_train_size", "instance", integral=True),
-            max_test_size=_json_number(d, "max_test_size", "instance", integral=True),
+            name=read_value(d, "name", "instance", str),
+            curves=tuple(CurveSpec.from_dict(c, f"curves[{i}]") for i, c in enumerate(curves)),
+            max_train_size=read_value(d, "max_train_size", "instance", int),
+            max_test_size=read_value(d, "max_test_size", "instance", int),
         )
 
     @classmethod
@@ -625,17 +593,16 @@ class LearnerSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LearnerSpec":
-        allowed = {"kind", "learning_rate", "epochs", "l2", "batch_size"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValueError(f"unknown learner field {sorted(unknown)[0]!r}")
-        if "kind" not in d:
-            raise ValueError("learner needs a 'kind'")
+    def from_dict(cls, d: dict, where: str = "learner") -> "LearnerSpec":
+        """The learner ``to_dict`` wrote; ``where`` names it in error
+        messages. Each hyperparameter is a number of its annotated kind."""
+        kinds = {f.name: int if f.type == "int" else float for f in fields(cls) if f.name != "kind"}
+        read_object(d, where, {"kind", *kinds}, ("kind",))
         if d["kind"] != "logistic_regression_sgd" and len(d) > 1:
             extra = sorted(set(d) - {"kind"})[0]
-            raise ValueError(f"learner kind {d['kind']!r} takes no field {extra!r}")
-        return cls(**d)
+            raise DocumentError(f"learner kind {d['kind']!r} in {where} takes no key {extra!r}")
+        values = {key: read_value(d, key, where, kinds[key]) for key in d if key != "kind"}
+        return cls(kind=d["kind"], **values)
 
 
 class _ConstantModel:
@@ -867,8 +834,8 @@ class LearnerBackend:
     ):
         if not learners:
             raise ValueError("need at least one learner")
-        if cost_model is not None and len(cost_model) != len(learners):
-            raise ValueError("cost_model must give (kappa, alpha) per learner")
+        if cost_model is not None and [len(p) for p in cost_model] != [2] * len(learners):
+            raise ValueError("cost_model must give one (kappa, alpha) pair per learner")
         for kappa, alpha in cost_model or ():
             if not (0.0 < kappa < math.inf and 0.0 < alpha < math.inf):
                 raise ValueError(f"cost_model needs finite kappa, alpha > 0, got {kappa}, {alpha}")

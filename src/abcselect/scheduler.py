@@ -68,7 +68,10 @@ class GradientEstimate:
 def optimal_step_size(alpha: float) -> float:
     """Worst-case-optimal geometric growth factor for cost T(s) = s**alpha."""
     check_run_setting("alpha_cost_exponent", alpha)
-    return 2.0 ** (1.0 / alpha)
+    try:
+        return 2.0 ** (1.0 / alpha)
+    except OverflowError as exc:
+        raise ValueError(f"alpha_cost_exponent {alpha} overflows the factor 2**(1/alpha)") from exc
 
 
 def next_sample_size(current: int, c: float, cap: int) -> int:

@@ -15,7 +15,6 @@ from abcselect.core import ProbeOutcome, RunParams, initial_states
 from abcselect.engine import run_abc, select_with_budget
 from abcselect.harness import (
     containment_audit,
-    halving_budget_curve,
     make_expensive_decoy_instance,
     make_monte_carlo_instance,
     make_plateau_instance,
@@ -284,6 +283,17 @@ def test_criterion_8_tolerance_sweep_trends():
         f"criterion 8: speedups {[f'{s:.0f}' for s in mean_speedup]} nondecreasing, "
         f"losses {[f'{l:.5f}' for l in mean_loss]} nondecreasing in {elapsed:.1f}s"
     )
+
+
+def halving_budget_curve(backend, initial_train_sizes):
+    """Successive-halving (total cost, selected id) at each initial train
+    size, with a test sample twice the train sample."""
+    ids = list(range(1, backend.n_configs + 1))
+    points = []
+    for init in initial_train_sizes:
+        selected, trace = successive_halving(ids, backend, init, 2 * init)
+        points.append((trace.wall_cost_total, selected))
+    return points
 
 
 def test_criterion_9_anytime_curve_dominates_halving():

@@ -1,11 +1,15 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from abcselect import cli
 from abcselect.cli import EXIT_AUDIT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from abcselect.harness import make_monte_carlo_instance
+from abcselect.scheduler import optimal_step_size
 
 
 @pytest.fixture()
@@ -164,6 +168,75 @@ class TestAudit:
         trace.write_text("\n".join(lines) + "\n")
         assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
         assert "test sample size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            (lambda r: {k: v for k, v in r.items() if k != "cost"}, "'cost'"),
+            (lambda r: {**r, "s_tr": str(r["s_tr"])}, "'s_tr'"),
+            (lambda r: {**r, "pruned": 5}, "'pruned'"),
+            (lambda r: [r["round"]], "must be a JSON object"),
+        ],
+        ids=["missing_cost", "string_size", "pruned_not_a_list", "not_an_object"],
+    )
+    def test_malformed_trace_line_exits_2(self, synthetic_setup, capsys, change, key):
+        # Each ended in a KeyError or TypeError traceback.
+        trace, report = self.run_once(synthetic_setup)
+        lines = trace.read_text().splitlines()
+        lines[2] = json.dumps(change(json.loads(lines[2])))
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "trace line 3" in err and key in err
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            (lambda p: {**p, "verbosity": 3}, "'verbosity'"),
+            (lambda p: {k: v for k, v in p.items() if k != "delta"}, "'delta'"),
+            (lambda p: {**p, "epsilon": "0.01"}, "'epsilon'"),
+            (lambda p: 5, "must be a JSON object"),
+            (lambda p: {**p, "n_configs": True}, "'n_configs'"),
+        ],
+        ids=["extra_key", "missing_key", "string_value", "not_an_object", "bool_count"],
+    )
+    def test_malformed_report_params_exit_2(self, synthetic_setup, capsys, change, key):
+        # All but the bool ended in a TypeError traceback; the bool was read
+        # as 1 and audited.
+        trace, report = self.run_once(synthetic_setup)
+        data = json.loads(report.read_text())
+        data["params"] = change(data["params"])
+        report.write_text(json.dumps(data))
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "report params" in err and key in err
+
+    @pytest.mark.parametrize(
+        "truths, key",
+        [([0.9], "must be a JSON object"), ({"1": 0.9}, "'2'"),
+         ({str(i): 0.9 for i in range(1, 6)}, "'5'"),
+         ({"1": "0.9", "2": 0.9, "3": 0.9, "4": 0.9}, "'1'")],
+        ids=["list", "missing_config", "unknown_config", "string_accuracy"],
+    )
+    def test_malformed_true_accuracies_exit_2(self, synthetic_setup, capsys, truths, key):
+        # The list ended in an AttributeError traceback and the missing
+        # configuration in a KeyError one; the unknown configuration and the
+        # string were audited.
+        trace, report = self.run_once(synthetic_setup)
+        data = json.loads(report.read_text())
+        data["true_accuracies"] = truths
+        report.write_text(json.dumps(data))
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "key 'true_accuracies' in report" in err and key in err
+
+    def test_report_without_params_exits_1(self, synthetic_setup, capsys):
+        trace, report = self.run_once(synthetic_setup)
+        data = json.loads(report.read_text())
+        del data["params"]
+        report.write_text(json.dumps(data))
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_CONFIG
+        assert "'params'" in capsys.readouterr().err
 
 
 def test_report_summary(synthetic_setup, capsys):
@@ -369,6 +442,8 @@ def test_run_bad_cost_model_exits_1(tmp_path, capsys, cost_model):
         ({"initial_train_size": 0}, None, "initial_train_size"),
         ({"initial_test_size": -3}, None, "initial_test_size"),
         ({"step_factor_c": 1.0}, None, "step_factor_c"),
+        # The optimal factor 2**(1/alpha) overflowed: an OverflowError traceback.
+        ({"alpha_cost_exponent": 0.0005}, None, "alpha_cost_exponent"),
     ],
 )
 def test_run_bad_params_value_exits_1(synthetic_setup, capsys, monkeypatch, params, env_seed, key):
@@ -409,6 +484,9 @@ def test_run_instance_nan_curve_value_exits_1(synthetic_setup, capsys):
         ({"kappa": 10**400}, {}, "kappa"),
         ({"plateau": [1, math.inf]}, {}, "plateau"),
         ({}, {"curves": 5}, "curves"),
+        # Both ran to exit 0.
+        ({}, {"name": 5}, "name"),
+        ({"plateau": [1.5, 2.5]}, {}, "plateau"),
     ],
 )
 def test_run_invalid_instance_file_exits_1(synthetic_setup, capsys, curve, instance_keys, key):
@@ -485,7 +563,7 @@ def test_experiment_bad_number_exits_1(tmp_path, capsys, key, value):
     "key, value",
     [("delta", 1.5), ("delta", 0), ("epsilon_grid", [0.01, 1.5]), ("epsilon_grid", [-0.1]),
      ("initial_train_size", 0), ("initial_test_size", -3), ("step_factor_c", 1.0),
-     ("alpha_cost_exponent", 0)],
+     ("alpha_cost_exponent", 0), ("alpha_cost_exponent", 0.0005)],
 )
 def test_experiment_run_param_out_of_range_exits_1(tmp_path, capsys, key, value):
     # Every cell's RunParams would reject the value; the spec must, before
@@ -501,3 +579,59 @@ def test_experiment_integral_float_is_an_integer(tmp_path):
     spec_path = experiment_spec(tmp_path, repetitions=2.0, base_seed=3.0)
     assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_OK
     assert len((tmp_path / "out" / "metrics.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "learners, key",
+    [
+        ([{"kind": "logistic_regression_sgd", "epochs": "3"}], "'epochs'"),
+        ([{"kind": "logistic_regression_sgd", "learning_rate": "0.1"}], "'learning_rate'"),
+        ([{"kind": "logistic_regression_sgd", "epochs": 2.5}], "'epochs'"),
+        ([{"kind": "logistic_regression_sgd", "batch_size": True}], "'batch_size'"),
+        (5, "'learners'"),
+        ([{"kind": "majority_class"}, 5], "learners[1]"),
+    ],
+    ids=["epochs_string", "learning_rate_string", "epochs_fraction", "batch_size_bool",
+         "learners_number", "learner_number"],
+)
+def test_run_bad_learner_grid_exits_1(tmp_path, capsys, learners, key):
+    # The strings and the numbers ended in a traceback; the fraction and the
+    # bool exited 2 with "probe failed at round 1".
+    (tmp_path / "data.csv").write_text("0.1,0\n0.9,1\n0.2,0\n0.8,1\n")
+    config = {
+        "backend": {"csv": "data.csv", "learners": learners},
+        "output": {"trace": str(tmp_path / "t.jsonl"), "report": str(tmp_path / "r.json")},
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_alpha_sets_the_default_step_factor_of_a_run_and_a_spec(
+    synthetic_setup, monkeypatch
+):
+    # Without a step_factor_c, a run config and an experiment spec both get
+    # the optimal factor for their alpha; a spec used to keep c = 2.
+    tmp_path, _, config = synthetic_setup
+    config["params"]["alpha_cost_exponent"] = 2.0
+    run_path = tmp_path / "alpha.json"
+    run_path.write_text(json.dumps(config))
+    assert main(["run", str(run_path)]) == EXIT_OK
+    run_c = json.loads((tmp_path / "report.json").read_text())["params"]["step_factor_c"]
+    specs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, **_: specs.append(spec) or [])
+    spec_path = experiment_spec(tmp_path, alpha_cost_exponent=2.0)
+    assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_OK
+    assert run_c == specs[0].step_factor_c == optimal_step_size(2.0) == 2**0.5
+
+
+def test_python_m_abcselect_runs_the_cli(synthetic_setup):
+    _, config_path, _ = synthetic_setup
+    done = subprocess.run(
+        [sys.executable, "-m", "abcselect", "run", str(config_path), "--method", "full_run"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "full_run selected configuration" in done.stdout

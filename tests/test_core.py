@@ -15,6 +15,7 @@ from abcselect.core import (
     TraceRound,
     clamp_interval,
     initial_states,
+    load_trace_rounds,
 )
 
 
@@ -147,6 +148,13 @@ class TestTrace:
 
         rounds = load_trace_rounds(path)
         assert rounds == trace.rounds
+
+    def test_infinite_cost_reads_back(self, tmp_path):
+        # A trace's cost is the one value whose reader allows Infinity.
+        row = TraceRound(1, 1, make_outcome(cost=math.inf), FULL_INTERVAL, 1, (), False)
+        trace = RunTrace(rounds=[row])
+        trace.write_jsonl(tmp_path / "t.jsonl")
+        assert load_trace_rounds(tmp_path / "t.jsonl") == trace.rounds
 
     @given(
         st.lists(
