@@ -562,7 +562,9 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                 )
             )
         for pid in row.pruned_ids:
-            if pid not in active.active:
+            if not 1 <= pid <= n:
+                issues.append(AuditIssue(r, f"unknown config id {pid} pruned"))
+            elif pid not in active.active:
                 issues.append(AuditIssue(r, f"config {pid} pruned twice"))
             elif pid == incumbent_id:
                 issues.append(AuditIssue(r, f"incumbent {pid} pruned"))

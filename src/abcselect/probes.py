@@ -83,7 +83,7 @@ class ProbeBackend(Protocol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveSpec:
     """Parametric learning curve with a power-law cost model.
 
@@ -103,6 +103,23 @@ class CurveSpec:
     kappa: float
     alpha: float
     plateau: tuple[int, int] | None = None
+
+    def __init__(self, a_inf, b, beta, overfit_gap, gamma, kappa, alpha, plateau=None):
+        # An instance builds thousands of curves. The generated __init__ of
+        # a frozen dataclass sets each field through object.__setattr__;
+        # the slots' own setters skip that lookup.
+        set_a_inf, set_b, set_beta, set_gap, set_gamma, set_kappa, set_alpha, set_plateau = (
+            _CURVE_SETTERS
+        )
+        set_a_inf(self, a_inf)
+        set_b(self, b)
+        set_beta(self, beta)
+        set_gap(self, overfit_gap)
+        set_gamma(self, gamma)
+        set_kappa(self, kappa)
+        set_alpha(self, alpha)
+        set_plateau(self, plateau)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # Chained comparisons, false for NaN and infinities: an instance
@@ -171,6 +188,9 @@ class CurveSpec:
             if len(plateau) != 2:
                 raise DocumentError(f"{name} must be [lo, hi], got {list(plateau)!r}")
         return cls(plateau=plateau, **{key: read_value(d, key, where) for key in numbers})
+
+
+_CURVE_SETTERS = tuple(getattr(CurveSpec, f.name).__set__ for f in fields(CurveSpec))
 
 
 def probe_synthetic(
@@ -260,17 +280,20 @@ class SyntheticInstance:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+@cache
 def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
     out = [init]
     for _ in range(length - 1):
         out.append(out[-1] * mult & 0xFFFFFFFF)
-    return np.array(out, dtype=np.uint32)
+    chain = np.array(out, dtype=np.uint32)
+    chain.setflags(write=False)  # cached, so shared by every caller
+    return chain
 
 
 # The constants of NumPy's ``SeedSequence`` (``numpy/random/bit_generator.pyx``,
 # after O'Neill's ``seed_seq_fe``). Its hash constants do not depend on the
 # data, so the k-th hash of a pass always uses the k-th entry of a chain.
-_SS_HASH_A = _hash_chain(0x43B0D7E5, 0x931E8875, 17)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
 _SS_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)
 _SS_MIX_L = np.uint32(0xCA01F9DD)
 _SS_MIX_R = np.uint32(0x4973F715)
@@ -282,24 +305,33 @@ _SS_OTHERS = tuple(np.array([d for d in range(4) if d != s], dtype=np.intp) for 
 _RUNG_TABLE_MIN_CONFIGS = 64
 
 
-def _rung_seed_words(seed: int, n: int, s_tr: int, s_te: int) -> np.ndarray:
+def _uint32_words(value: int) -> tuple[int, ...]:
+    """The 32-bit words of a nonnegative int, low word first, as
+    ``SeedSequence`` splits an int of its entropy (0 is one word)."""
+    return tuple(value >> shift & 0xFFFFFFFF for shift in range(0, value.bit_length() or 1, 32))
+
+
+def _rung_seed_words(seed_entropy: tuple[int, ...], n: int, s_tr: int, s_te: int) -> np.ndarray:
     """PCG64 seed words of the entropy ``[seed, id, s_tr, s_te]`` for every
-    id in 1..n, each below 2**32: an ``(n, 4)`` uint64 array whose row
-    ``id - 1`` equals ``SeedSequence(np.array([seed, id, s_tr, s_te],
-    np.uint32)).generate_state(4, np.uint64)``.
+    id in 1..n, given ``seed_entropy = _uint32_words(seed)`` and sizes below
+    2**32: an ``(n, 4)`` uint64 array whose row ``id - 1`` equals
+    ``SeedSequence([seed, id, s_tr, s_te]).generate_state(4, np.uint64)``.
 
     It is NumPy's pass for one key (``mix_entropy`` into a pool of four
     words, then ``generate_state``) run on uint32 arrays, one column per id,
-    so its multiplications wrap modulo 2**32 as NumPy's do. While the pool
-    mixes word ``src`` into the other three, ``src`` itself does not change,
-    so those three updates are one operation on a ``(3, n)`` array.
+    so its multiplications wrap modulo 2**32 as NumPy's do. The entropy is
+    the seed's words, the id and the sizes; its first four words fill the
+    pool. While the pool mixes word ``src`` into the other three, ``src``
+    itself does not change, so those three updates are one operation on a
+    ``(3, n)`` array. Each entropy word past the fourth is then mixed into
+    every pool word, one operation on the pool, with the hash chain
+    continued.
     """
-    hash_a = _SS_HASH_A[:, None]
+    entropy = [*seed_entropy, np.arange(1, n + 1, dtype=np.uint32), s_tr, s_te]
+    hash_a = _hash_chain(_SS_INIT_A, _SS_MULT_A, 4 * len(entropy) + 1)[:, None]
     pool = np.empty((4, n), dtype=np.uint32)
-    pool[0] = seed
-    pool[1] = np.arange(1, n + 1, dtype=np.uint32)
-    pool[2] = s_tr
-    pool[3] = s_te
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
     pool ^= hash_a[:4]
     pool *= hash_a[1:5]
     pool ^= pool >> 16
@@ -315,6 +347,14 @@ def _rung_seed_words(seed: int, n: int, s_tr: int, s_te: int) -> np.ndarray:
         mixed -= hashed
         mixed ^= mixed >> 16
         pool[others] = mixed
+    for k, word in enumerate(entropy[4:], start=4):
+        hashed = np.uint32(word) ^ hash_a[4 * k : 4 * k + 4]
+        hashed *= hash_a[4 * k + 1 : 4 * k + 5]
+        hashed ^= hashed >> 16
+        hashed *= _SS_MIX_R
+        pool *= _SS_MIX_L
+        pool -= hashed
+        pool ^= pool >> 16
     # generate_state(4, np.uint64) draws eight uint32 words, cycling through
     # the pool, and pairs them little-end first into uint64 words.
     state = np.empty((n, 8), dtype=np.uint32)
@@ -354,11 +394,15 @@ class SyntheticBackend:
     """Probe backend over a synthetic instance; deterministic per (seed, id, sizes).
 
     Each probe's draw is seeded with ``SeedSequence([seed, id, s_tr,
-    s_te])``. Over at least ``_RUNG_TABLE_MIN_CONFIGS`` configurations, with
-    a seed and sizes below 2**32, the first probe at a rung ``(s_tr, s_te)``
-    computes the seed words of every configuration at that rung in one
-    vectorised pass and keeps them (32 bytes per configuration and rung);
-    the draws are bit-identical to the per-probe seeding.
+    s_te])``. The backend splits its seed into 32-bit words once, as
+    ``SeedSequence`` splits an int, and seeds from those words: a probe
+    whose sizes fit in one word each hands NumPy the uint32 array of the
+    seed's words, the id and the sizes, which gives the same pool as the
+    list. Over at least ``_RUNG_TABLE_MIN_CONFIGS`` configurations, the
+    first probe at such a rung ``(s_tr, s_te)`` computes the seed words of
+    every configuration at that rung in one vectorised pass and keeps them
+    (32 bytes per configuration and rung). The draws are bit-identical to
+    per-probe seeding from the list, whatever the seed's size.
     """
 
     def __init__(self, instance: SyntheticInstance, seed: int):
@@ -366,8 +410,9 @@ class SyntheticBackend:
             raise ValueError("seed must be nonnegative")
         self._instance = instance
         self._seed = seed
+        self._seed_entropy = _uint32_words(seed)
         self._labels = tuple(f"curve-{i + 1}" for i in range(instance.n_configs))
-        self._tabled = seed < 2**32 and instance.n_configs >= _RUNG_TABLE_MIN_CONFIGS
+        self._tabled = instance.n_configs >= _RUNG_TABLE_MIN_CONFIGS
         self._rung_words: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -405,16 +450,18 @@ class SyntheticBackend:
             return probe_synthetic(spec, s_tr, s_te, None, population_test=True)
         words = self._rung_words.get((s_tr, s_te))
         if words is None and self._tabled and 0 < s_tr < 2**32 and 0 < s_te < 2**32:
-            words = _rung_seed_words(self._seed, self.n_configs, s_tr, s_te)
+            words = _rung_seed_words(self._seed_entropy, self.n_configs, s_tr, s_te)
             self._rung_words[s_tr, s_te] = words
         if words is not None:
             bits = np.random.PCG64(_seed_words_type()(words[config_id - 1]))
             return probe_synthetic(spec, s_tr, s_te, bits)
-        entropy = [self._seed, config_id, s_tr, s_te]
         # SeedSequence splits each int of a list into 32-bit words, so when
-        # every int is one word a uint32 array gives the same pool, faster.
-        if self._seed < 2**32 and 0 <= s_tr < 2**32 and 0 <= s_te < 2**32:
-            entropy = np.array(entropy, dtype=np.uint32)
+        # each size is one word a uint32 array of the words gives the same
+        # pool, without NumPy's conversion of every int.
+        if 0 <= s_tr < 2**32 and 0 <= s_te < 2**32:
+            entropy = np.array([*self._seed_entropy, config_id, s_tr, s_te], dtype=np.uint32)
+        else:
+            entropy = [self._seed, config_id, s_tr, s_te]
         return probe_synthetic(spec, s_tr, s_te, np.random.SeedSequence(entropy))
 
     def estimate_cost(self, config_id: int, s_tr: int, s_te: int) -> float:

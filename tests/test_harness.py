@@ -357,6 +357,13 @@ class TestStructuralAudit:
         issues = structural_audit(rounds, params)
         assert any("prune" in i.message for i in issues)
 
+    def test_reports_unknown_pruned_id(self):
+        trace, params = self.clean_trace()
+        rounds = self.corrupt(trace.rounds, 0, pruned_ids=(99,), snapshot=True)
+        messages = [i.message for i in structural_audit(rounds, params)]
+        assert "unknown config id 99 pruned" in messages
+        assert not any("pruned twice" in m for m in messages)
+
 
 # Seeded tamperings of engine traces and the SHA-256 of the findings the
 # structural audit reports for them. The digests were recorded on the

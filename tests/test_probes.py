@@ -1,4 +1,6 @@
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -62,6 +64,17 @@ class TestCurveSpec:
                     basic_spec(**{key: value})
         with pytest.raises(ValueError, match="plateau"):
             basic_spec(plateau=(10, math.inf))
+
+    def test_frozen_value_semantics(self):
+        spec = basic_spec(plateau=(10, 20))
+        twin = pickle.loads(pickle.dumps(spec))
+        assert twin == spec and hash(twin) == hash(spec)
+        assert replace(spec, b=0.25) == basic_spec(b=0.25, plateau=(10, 20))
+        assert repr(spec).startswith("CurveSpec(a_inf=0.9, b=0.5, beta=0.5,")
+        with pytest.raises(FrozenInstanceError):
+            spec.b = 0.25
+        with pytest.raises(ValueError, match="^a_inf must be in"):
+            replace(spec, a_inf=1.5)
 
     def test_dict_roundtrip(self):
         spec = basic_spec(plateau=(10, 20))
@@ -144,11 +157,19 @@ class TestSyntheticBackend:
             (2**40, 2, 2**33 + 1, 2**33),  # sizes of two words
             (9, 1, 1000, 2**34),  # the full test set: the exact path
             (2**32 + 5, 2, 2**34, 2**34),
+            # Seeds of one, two and three words, each on a backend below and
+            # above the rung-table crossover.
+            *[
+                (seed, config_id, 1000, 2000)
+                for seed in (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3)
+                for config_id in (2, probes._RUNG_TABLE_MIN_CONFIGS + 1)
+            ],
         ],
     )
     def test_probe_matches_list_entropy_seeding(self, seed, config_id, s_tr, s_te):
+        pair = (basic_spec(), basic_spec(a_inf=0.8))
         instance = SyntheticInstance(
-            name="t", curves=(basic_spec(), basic_spec(a_inf=0.8)),
+            name="t", curves=tuple(pair[i % 2] for i in range(max(2, config_id))),
             max_train_size=2**34, max_test_size=2**34,
         )
         spec = instance.curves[config_id - 1]
@@ -161,17 +182,17 @@ class TestSyntheticBackend:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**96),
         n=st.sampled_from([1, probes._RUNG_TABLE_MIN_CONFIGS, 3000]),
         s_tr=st.integers(0, 2**32 - 1),
         s_te=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     def test_rung_seed_words_match_seed_sequence(self, seed, n, s_tr, s_te, data):
-        words = probes._rung_seed_words(seed, n, s_tr, s_te)
+        words = probes._rung_seed_words(probes._uint32_words(seed), n, s_tr, s_te)
         assert words.shape == (n, 4) and words.dtype == np.uint64
         for config_id in {1, n, data.draw(st.integers(1, n))}:
-            entropy = np.array([seed, config_id, s_tr, s_te], dtype=np.uint32)
+            entropy = [seed, config_id, s_tr, s_te]
             expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
             np.testing.assert_array_equal(words[config_id - 1], expected)
             row = probes._seed_words_type()(words[config_id - 1])
@@ -181,7 +202,7 @@ class TestSyntheticBackend:
 
     @pytest.mark.parametrize(
         "seed, tabled",
-        [(0, True), (2**32 - 1, True), (2**32, False), (2**62 + 3, False)],
+        [(0, True), (2**32 - 1, True), (2**32, True), (2**62 + 3, True), (2**63 - 25, True)],
     )
     def test_rung_table_probes_match_per_key_seeding(self, seed, tabled):
         n = probes._RUNG_TABLE_MIN_CONFIGS

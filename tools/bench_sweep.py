@@ -42,10 +42,12 @@ Each pass, in a fresh process, records:
   ms;
 * synthetic probes: ``SyntheticBackend.probe`` over a fixed key list, the
   keys a gradient-CI run visits on the sweep's family at n = 10, 100, 2000
-  and 10,000: µs per probe on a fresh backend (cold: it builds its rung
-  tables) and again on the same backend (warm), a SHA-256 over the
-  outcomes, and the µs to build one rung's seed-word table at that n (null
-  for a program without one).
+  and 10,000, once with the sweep's seed and once with a 63-bit
+  ``run_experiment`` cell seed (entries ``<n>-cell``): µs per probe on a
+  fresh backend (cold: it builds its rung tables) and again on the same
+  backend (warm), a SHA-256 over the outcomes, and the µs to build one
+  rung's seed-word table at that n (null for a program without one, or
+  whose table takes only one-word seeds).
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
@@ -169,9 +171,11 @@ def _worker(
             }
 
     synthetic: dict[str, dict] = {}
-    for n in probe_ns:
+    for n, cell in ((n, cell) for n in probe_ns for cell in (False, True)):
         instance = uniform(n)
-        backend = SyntheticBackend(instance, seed=SWEEP_SEED)
+        seed = (harness.cell_seed(EXPERIMENT_SEED, "abc_gradient_ci", instance.name, n, EPSILON, 0)
+                if cell else SWEEP_SEED)
+        backend = SyntheticBackend(instance, seed=seed)
         keys, probe = [], backend.probe
 
         def recording_probe(*key):
@@ -180,25 +184,34 @@ def _worker(
 
         backend.probe = recording_probe
         params = RunParams(EPSILON, DELTA, n, 1000, 2000, 2.0, 1.0,
-                           instance.max_train_size, instance.max_test_size, SWEEP_SEED)
+                           instance.max_train_size, instance.max_test_size, seed)
         run_abc(initial_states(list(backend.labels), params), backend, params,
                 SchedulerKind.GRADIENT_CI)
         cold, warm, spent = [], [], 0.0
         while not cold or spent < min_seconds:
-            backend = SyntheticBackend(instance, seed=SWEEP_SEED)
+            backend = SyntheticBackend(instance, seed=seed)
             for sample in (cold, warm):
                 start = time.perf_counter()
                 outcomes = [backend.probe(*key) for key in keys]
                 seconds = time.perf_counter() - start
                 sample.append(seconds / len(keys) * 1e6)
                 spent += seconds
+        # A program whose table takes the seed's 32-bit words splits it with
+        # _uint32_words; an older one takes a seed below 2**32 itself.
         build = getattr(probes, "_rung_seed_words", None)
+        if hasattr(probes, "_uint32_words"):
+            table_seed = probes._uint32_words(seed)
+        elif seed < 2**32:
+            table_seed = seed
+        else:
+            build = None
         builds = []
         while build is not None and (len(builds) < 5 or sum(builds) < min_seconds / 10):
             start = time.perf_counter()
-            build(SWEEP_SEED, n, 1000, 2000)
+            build(table_seed, n, 1000, 2000)
             builds.append(time.perf_counter() - start)
-        synthetic[str(n)] = {
+        synthetic[f"{n}-cell" if cell else str(n)] = {
+            "seed": seed,
             "keys": len(keys),
             "rungs": len(set(key[1:] for key in keys)),
             "cold_us_per_probe": statistics.median(cold),
@@ -541,7 +554,7 @@ def _side(passes: list[dict]) -> dict:
         samples = [p["synthetic"][n] for p in passes]
         if len({s["outcomes_sha256"] for s in samples}) != 1:
             raise SystemExit(f"synthetic probes n={n}: outcomes differ between passes")
-        synthetic[n] = {k: first[k] for k in ("keys", "rungs", "outcomes_sha256")}
+        synthetic[n] = {k: first[k] for k in ("seed", "keys", "rungs", "outcomes_sha256")}
         for key in ("cold_us_per_probe", "warm_us_per_probe", "table_build_us"):
             values = [s[key] for s in samples]
             if None in values:
