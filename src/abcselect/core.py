@@ -98,10 +98,12 @@ def read_value(
 
 def read_list(value, name: str, kind: type | None = None) -> list:
     """``value``, the list called ``name`` in messages, whose items must each
-    be of ``kind`` when given (an item is not converted: ``1.0`` is no
-    ``int`` here)."""
+    be of ``kind`` when given. As in :func:`read_value`, an integral float
+    item is an ``int``."""
     if type(value) is not list:
         raise DocumentError(f"{name} must be a list, got {value!r}")
+    if kind is int:
+        value = [int(x) if type(x) is float and x.is_integer() else x for x in value]
     for item in value if kind else ():
         if not _is_kind(item, kind):
             raise DocumentError(f"{name} must list {_KIND_NAMES[kind]} per item, got {item!r}")

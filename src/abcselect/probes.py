@@ -13,12 +13,12 @@ Monte Carlo runs and trace replay are deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from functools import cache
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -280,129 +280,23 @@ class SyntheticInstance:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-@cache
-def _hash_chain(init: int, mult: int, length: int) -> np.ndarray:
-    out = [init]
-    for _ in range(length - 1):
-        out.append(out[-1] * mult & 0xFFFFFFFF)
-    chain = np.array(out, dtype=np.uint32)
-    chain.setflags(write=False)  # cached, so shared by every caller
-    return chain
-
-
-# The constants of NumPy's ``SeedSequence`` (``numpy/random/bit_generator.pyx``,
-# after O'Neill's ``seed_seq_fe``). Its hash constants do not depend on the
-# data, so the k-th hash of a pass always uses the k-th entry of a chain.
-_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
-_SS_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 9)
-_SS_MIX_L = np.uint32(0xCA01F9DD)
-_SS_MIX_R = np.uint32(0x4973F715)
-_SS_OTHERS = tuple(np.array([d for d in range(4) if d != s], dtype=np.intp) for s in range(4))
-
-# A backend over fewer configurations seeds each probe on its own: below
-# this many, building a rung's table costs more than it saves (see README,
-# "Synthetic probe cost").
-_RUNG_TABLE_MIN_CONFIGS = 64
-
-
-def _uint32_words(value: int) -> tuple[int, ...]:
-    """The 32-bit words of a nonnegative int, low word first, as
-    ``SeedSequence`` splits an int of its entropy (0 is one word)."""
-    return tuple(value >> shift & 0xFFFFFFFF for shift in range(0, value.bit_length() or 1, 32))
-
-
-def _rung_seed_words(seed_entropy: tuple[int, ...], n: int, s_tr: int, s_te: int) -> np.ndarray:
-    """PCG64 seed words of the entropy ``[seed, id, s_tr, s_te]`` for every
-    id in 1..n, given ``seed_entropy = _uint32_words(seed)`` and sizes below
-    2**32: an ``(n, 4)`` uint64 array whose row ``id - 1`` equals
-    ``SeedSequence([seed, id, s_tr, s_te]).generate_state(4, np.uint64)``.
-
-    It is NumPy's pass for one key (``mix_entropy`` into a pool of four
-    words, then ``generate_state``) run on uint32 arrays, one column per id,
-    so its multiplications wrap modulo 2**32 as NumPy's do. The entropy is
-    the seed's words, the id and the sizes; its first four words fill the
-    pool. While the pool mixes word ``src`` into the other three, ``src``
-    itself does not change, so those three updates are one operation on a
-    ``(3, n)`` array. Each entropy word past the fourth is then mixed into
-    every pool word, one operation on the pool, with the hash chain
-    continued.
-    """
-    entropy = [*seed_entropy, np.arange(1, n + 1, dtype=np.uint32), s_tr, s_te]
-    hash_a = _hash_chain(_SS_INIT_A, _SS_MULT_A, 4 * len(entropy) + 1)[:, None]
-    pool = np.empty((4, n), dtype=np.uint32)
-    for i, word in enumerate(entropy[:4]):
-        pool[i] = word
-    pool ^= hash_a[:4]
-    pool *= hash_a[1:5]
-    pool ^= pool >> 16
-    hashed = np.empty((3, n), dtype=np.uint32)
-    for src, others in enumerate(_SS_OTHERS):
-        k = 4 + 3 * src
-        np.bitwise_xor(pool[src], hash_a[k : k + 3], out=hashed)
-        hashed *= hash_a[k + 1 : k + 4]
-        hashed ^= hashed >> 16
-        hashed *= _SS_MIX_R
-        mixed = pool[others]
-        mixed *= _SS_MIX_L
-        mixed -= hashed
-        mixed ^= mixed >> 16
-        pool[others] = mixed
-    for k, word in enumerate(entropy[4:], start=4):
-        hashed = np.uint32(word) ^ hash_a[4 * k : 4 * k + 4]
-        hashed *= hash_a[4 * k + 1 : 4 * k + 5]
-        hashed ^= hashed >> 16
-        hashed *= _SS_MIX_R
-        pool *= _SS_MIX_L
-        pool -= hashed
-        pool ^= pool >> 16
-    # generate_state(4, np.uint64) draws eight uint32 words, cycling through
-    # the pool, and pairs them little-end first into uint64 words.
-    state = np.empty((n, 8), dtype=np.uint32)
-    state[:, :4] = pool.T
-    state[:, 4:] = pool.T
-    state ^= _SS_HASH_B[:8]
-    state *= _SS_HASH_B[1:]
-    state ^= state >> 16
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
-@cache
-def _seed_words_type() -> type:
-    """The ``ISeedSequence`` that hands a PCG64 the seed words
-    ``_rung_seed_words`` computed for it.
-
-    Defined on first use: NumPy imports ``numpy.random`` lazily, and
-    importing it along with this module raised the peak RSS of every
-    process by about 0.5 MB, table or not.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedWords(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self._words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for (4, np.uint64); the identity test skips np.dtype.
-            if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-                raise ValueError(f"seed words are 4 x uint64, not {n_words} x {np.dtype(dtype)}")
-            return self._words
-
-    return SeedWords
-
-
 class SyntheticBackend:
     """Probe backend over a synthetic instance; deterministic per (seed, id, sizes).
 
-    Each probe's draw is seeded with ``SeedSequence([seed, id, s_tr,
-    s_te])``. The backend splits its seed into 32-bit words once, as
-    ``SeedSequence`` splits an int, and seeds from those words: a probe
-    whose sizes fit in one word each hands NumPy the uint32 array of the
-    seed's words, the id and the sizes, which gives the same pool as the
-    list. Over at least ``_RUNG_TABLE_MIN_CONFIGS`` configurations, the
-    first probe at such a rung ``(s_tr, s_te)`` computes the seed words of
-    every configuration at that rung in one vectorised pass and keeps them
-    (32 bytes per configuration and rung). The draws are bit-identical to
-    per-probe seeding from the list, whatever the seed's size.
+    A probe below the full test set reads its test accuracy from its size
+    rung ``(s_tr, s_te)``. The first probe at a rung draws the test-sample
+    successes of every configuration at once: ``binomial(s_te, truths)``,
+    where ``truths`` are the curves' true accuracies at ``s_tr``, from a
+    PCG64 whose state is keyed by ``(seed, s_tr, s_te)`` (see
+    :meth:`_draw_rung`). The backend keeps the counts, one int64 per
+    configuration and rung. NumPy draws an array's elements in order from
+    one stream, so configuration i's draw depends only on the seed, the
+    sizes and curves 1..i: an instance's ``truncated(n)`` shares its draws.
+    A probe on the full test set draws nothing.
+
+    The rung cache and the generator are unguarded state, so a backend is
+    not safe to share between threads; the program runs parallel work in
+    processes.
     """
 
     def __init__(self, instance: SyntheticInstance, seed: int):
@@ -410,10 +304,9 @@ class SyntheticBackend:
             raise ValueError("seed must be nonnegative")
         self._instance = instance
         self._seed = seed
-        self._seed_entropy = _uint32_words(seed)
         self._labels = tuple(f"curve-{i + 1}" for i in range(instance.n_configs))
-        self._tabled = instance.n_configs >= _RUNG_TABLE_MIN_CONFIGS
-        self._rung_words: dict[tuple[int, int], np.ndarray] = {}
+        self._rung_counts: dict[tuple[int, int], np.ndarray] = {}
+        self._draws = None  # the generator, made by the first draw
 
     @property
     def instance(self) -> SyntheticInstance:
@@ -445,24 +338,48 @@ class SyntheticBackend:
         if s_tr > self._instance.max_train_size or s_te > self._instance.max_test_size:
             raise ValueError("requested sizes exceed the full data sizes")
         # Evaluating on the entire test set measures the accuracy exactly,
-        # with no draw to seed.
+        # with no draw.
         if s_te >= self._instance.max_test_size:
             return probe_synthetic(spec, s_tr, s_te, None, population_test=True)
-        words = self._rung_words.get((s_tr, s_te))
-        if words is None and self._tabled and 0 < s_tr < 2**32 and 0 < s_te < 2**32:
-            words = _rung_seed_words(self._seed_entropy, self.n_configs, s_tr, s_te)
-            self._rung_words[s_tr, s_te] = words
-        if words is not None:
-            bits = np.random.PCG64(_seed_words_type()(words[config_id - 1]))
-            return probe_synthetic(spec, s_tr, s_te, bits)
-        # SeedSequence splits each int of a list into 32-bit words, so when
-        # each size is one word a uint32 array of the words gives the same
-        # pool, without NumPy's conversion of every int.
-        if 0 <= s_tr < 2**32 and 0 <= s_te < 2**32:
-            entropy = np.array([*self._seed_entropy, config_id, s_tr, s_te], dtype=np.uint32)
-        else:
-            entropy = [self._seed, config_id, s_tr, s_te]
-        return probe_synthetic(spec, s_tr, s_te, np.random.SeedSequence(entropy))
+        if s_tr < 1 or s_te < 1:
+            raise ValueError("sample sizes must be >= 1")
+        counts = self._rung_counts.get((s_tr, s_te))
+        if counts is None:
+            counts = self._rung_counts[s_tr, s_te] = self._draw_rung(s_tr, s_te)
+        truth = spec.true_accuracy(s_tr)
+        return ProbeOutcome(
+            train_sample_size=s_tr,
+            test_sample_size=s_te,
+            train_accuracy=spec.train_accuracy(s_tr, truth),
+            test_accuracy=counts.item(config_id - 1) / s_te,
+            cost=spec.cost(s_tr),
+        )
+
+    def _draw_rung(self, s_tr: int, s_te: int) -> np.ndarray:
+        """Test-sample successes of every configuration at a rung.
+
+        The key is the 32-byte BLAKE2b digest of the ASCII text
+        ``"<seed>,<s_tr>,<s_te>"`` (decimal). Read as two little-endian
+        128-bit integers, its first 16 bytes are the PCG64 state and its
+        last 16 bytes, OR 1, the increment.
+        """
+        truths = [c.true_accuracy(s_tr) for c in self._instance.curves]
+        key = hashlib.blake2b(b"%d,%d,%d" % (self._seed, s_tr, s_te), digest_size=32).digest()
+        if self._draws is None:
+            # Made here, not at import: NumPy imports numpy.random lazily,
+            # and importing it along with this module raised the peak RSS
+            # of every process by about 0.5 MB.
+            self._draws = np.random.Generator(np.random.PCG64(0))
+        self._draws.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {
+                "state": int.from_bytes(key[:16], "little"),
+                "inc": int.from_bytes(key[16:], "little") | 1,
+            },
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._draws.binomial(s_te, truths)
 
     def estimate_cost(self, config_id: int, s_tr: int, s_te: int) -> float:
         return self._spec(config_id).cost(s_tr)

@@ -373,7 +373,7 @@ def test_experiment_key_not_a_list_exits_1(tmp_path, capsys, key):
 
 @pytest.mark.parametrize(
     "key, grid",
-    [("epsilon_grid", ["a"]), ("n_configs_grid", ["1"]), ("n_configs_grid", [1.0]),
+    [("epsilon_grid", ["a"]), ("n_configs_grid", ["1"]), ("n_configs_grid", [1.5]),
      ("budget_grid", ["a"]), ("budget_grid", [True])],
 )
 def test_experiment_non_numeric_grid_entry_exits_1(tmp_path, capsys, key, grid):
@@ -381,6 +381,19 @@ def test_experiment_non_numeric_grid_entry_exits_1(tmp_path, capsys, key, grid):
     assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_CONFIG
     assert f"key '{key}' in experiment spec must list" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_experiment_integral_float_grid_entry_runs_like_an_int(tmp_path):
+    # A list item follows the rule of a keyed integer: 4.0 is 4.
+    metrics = []
+    for grid in ([4], [4.0]):
+        run_dir = tmp_path / repr(grid[0])
+        run_dir.mkdir()
+        spec_path = experiment_spec(run_dir, n_configs_grid=grid, methods=["abc_ucb"])
+        make_monte_carlo_instance(0).truncated(4).save(run_dir / "inst.json")
+        assert main(["experiment", str(spec_path), "--workers", "1"]) == EXIT_OK
+        metrics.append((run_dir / "out" / "metrics.jsonl").read_text())
+    assert metrics[0] == metrics[1] and '"instance": "demo#n=4"' in metrics[0]
 
 
 @pytest.mark.parametrize(

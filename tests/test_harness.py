@@ -448,15 +448,15 @@ def audit_findings_digest(case):
 
 
 GOLDEN_AUDIT = {
-    "plateau/gradient_ci": "393b9d48ef89b586cd3811d726691740bf0adb3926f11e9976445be4a2c3c7a9",
-    "plateau/ucb": "85f9c2d7fa6c67cce225456f0b0d782ae56f44237a80ae77a9ea08603a10861c",
-    "plateau/round_robin": "3af690c276bc313cebd09a60681ed9877488d3f1e820e97ac3f19e1e13214b8e",
-    "sweep/gradient_ci": "9603c1375891f71bc8aed52470d9b4a1a61358c55c27655c11bc8ce3edd5b3ee",
-    "sweep/ucb": "02218f1142b84afde49686bd26eeeb86d64e9516779b21251fe2faa0da909e82",
-    "sweep/round_robin": "ba14ecad60cc684042daaaea7864f91c1e7a79a3ec51989ef4ea36f2bce7af67",
-    "skewed/gradient_ci": "4c00743966b4b8b2538a74621fbd83f5b7acd58c546dd6b0be9aebcc02cc88c9",
-    "skewed/ucb": "8f4aec9b6f39e61f29a2c7e12d68493362da04f34e7125d61a98992aec9b3e57",
-    "skewed/round_robin": "e0937cbcc7b597d53e7f9a3ce343817a4419625b8e043d74deab953e66427aec",
+    "plateau/gradient_ci": "d5a884c5c94a773f413684159b9355ba36a265ac284e4aa85eacd07d0620c24d",
+    "plateau/ucb": "c5bbca1914ccf80cf712aa8cefb05ee44285c0f09fee75ed967d15498bb03cfb",
+    "plateau/round_robin": "7be2f5130d1dc02c26593779c2dbea242722bc77c7894c56ea3279cb9c4e2fe5",
+    "sweep/gradient_ci": "a3e9d8653fd205087df0ca76bf0874c81ce0b5a80f1a6f97f2394fd4b2cb6180",
+    "sweep/ucb": "16cf6572c50ea77f02c76e2423387808fda3f592ce8c763ded117614dce8b9bb",
+    "sweep/round_robin": "dfebd4f7b0d0df4ce1b9c73d19bd453460bb4c3320045ee6a62f4ce552be69d2",
+    "skewed/gradient_ci": "30c6122e7e0fb03ab8f1ade345f9faec3c2be0572cf998c0e9674e7038cece73",
+    "skewed/ucb": "cdb8905ac1345321bc85ab3defc984b935e2e577be6c67aed5623d8b03cefee1",
+    "skewed/round_robin": "83ebebef16d68bce3a097f763587f9c7b976d0ba618f922a62458046e84b67eb",
 }
 
 

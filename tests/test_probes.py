@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pickle
+import random
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abcselect import probes
-from abcselect.core import RunParams, initial_states
+from abcselect.core import ProbeOutcome, RunParams, initial_states
 from abcselect.engine import run_abc
 from abcselect.probes import (
     CurveSpec,
@@ -21,6 +23,24 @@ from abcselect.probes import (
     probe_learner,
     probe_synthetic,
 )
+
+
+def reference_probe(instance, seed, config_id, s_tr, s_te):
+    """The outcome of a synthetic probe, computed from the README's rule."""
+    spec = instance.curves[config_id - 1]
+    truth = spec.true_accuracy(s_tr)
+    test_accuracy = truth
+    if s_te < instance.max_test_size:
+        key = hashlib.blake2b(f"{seed},{s_tr},{s_te}".encode("ascii"), digest_size=32)
+        word = int.from_bytes(key.digest(), "little")
+        bits = np.random.PCG64()
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": word % 2**128, "inc": word >> 128 | 1}}
+        draws = np.random.Generator(bits)
+        for curve in instance.curves[:config_id]:
+            count = draws.binomial(s_te, curve.true_accuracy(s_tr))
+        test_accuracy = count / s_te
+    return ProbeOutcome(s_tr, s_te, spec.train_accuracy(s_tr), test_accuracy, spec.cost(s_tr))
 
 
 def basic_spec(**overrides):
@@ -153,59 +173,37 @@ class TestSyntheticBackend:
             (9, 1, 1000, 2000),
             (0, 2, 1, 1),
             (2**32 - 1, 2, 99_999, 199_999),
-            (2**32 + 5, 1, 1000, 2000),  # a seed of two words: the list path
+            (2**32 + 5, 1, 1000, 2000),  # a seed of two words
             (2**40, 2, 2**33 + 1, 2**33),  # sizes of two words
-            (9, 1, 1000, 2**34),  # the full test set: the exact path
+            (9, 1, 1000, 2**34),  # the full test set: no draw
             (2**32 + 5, 2, 2**34, 2**34),
-            # Seeds of one, two and three words, each on a backend below and
-            # above the rung-table crossover.
+            # Seeds of one, two and three words, each on a backend of 2 and
+            # of 65 configurations.
             *[
                 (seed, config_id, 1000, 2000)
                 for seed in (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3)
-                for config_id in (2, probes._RUNG_TABLE_MIN_CONFIGS + 1)
+                for config_id in (2, 65)
             ],
         ],
     )
     def test_probe_matches_list_entropy_seeding(self, seed, config_id, s_tr, s_te):
+        # The reference is the rule as the README states it, keyed by the
+        # list (seed, s_tr, s_te) and drawn one scalar at a time.
         pair = (basic_spec(), basic_spec(a_inf=0.8))
         instance = SyntheticInstance(
             name="t", curves=tuple(pair[i % 2] for i in range(max(2, config_id))),
             max_train_size=2**34, max_test_size=2**34,
         )
-        spec = instance.curves[config_id - 1]
-        seed_seq = np.random.SeedSequence([seed, config_id, s_tr, s_te])
-        expected = probe_synthetic(
-            spec, s_tr, s_te, seed_seq, population_test=s_te >= instance.max_test_size
-        )
         backend = SyntheticBackend(instance, seed=seed)
+        expected = reference_probe(instance, seed, config_id, s_tr, s_te)
         assert backend.probe(config_id, s_tr, s_te) == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**96),
-        n=st.sampled_from([1, probes._RUNG_TABLE_MIN_CONFIGS, 3000]),
-        s_tr=st.integers(0, 2**32 - 1),
-        s_te=st.integers(0, 2**32 - 1),
-        data=st.data(),
-    )
-    def test_rung_seed_words_match_seed_sequence(self, seed, n, s_tr, s_te, data):
-        words = probes._rung_seed_words(probes._uint32_words(seed), n, s_tr, s_te)
-        assert words.shape == (n, 4) and words.dtype == np.uint64
-        for config_id in {1, n, data.draw(st.integers(1, n))}:
-            entropy = [seed, config_id, s_tr, s_te]
-            expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(words[config_id - 1], expected)
-            row = probes._seed_words_type()(words[config_id - 1])
-            tabled = np.random.Generator(np.random.PCG64(row))
-            seeded = np.random.default_rng(np.random.SeedSequence(entropy))
-            np.testing.assert_array_equal(tabled.binomial(2000, 0.7, 8), seeded.binomial(2000, 0.7, 8))
 
     @pytest.mark.parametrize(
         "seed, tabled",
         [(0, True), (2**32 - 1, True), (2**32, True), (2**62 + 3, True), (2**63 - 25, True)],
     )
     def test_rung_table_probes_match_per_key_seeding(self, seed, tabled):
-        n = probes._RUNG_TABLE_MIN_CONFIGS
+        n = 64
         curves = tuple(basic_spec(a_inf=0.6 + 0.3 * i / n) for i in range(n))
         instance = SyntheticInstance("t", curves, max_train_size=2**34, max_test_size=2**33)
         backend = SyntheticBackend(instance, seed=seed)
@@ -215,18 +213,55 @@ class TestSyntheticBackend:
                 for i in (1, n, 7)]
         keys += keys + [(3, 2**32, 2**33 - 1), (5, 1000, 2**33), (n, 2**34, 2**33)]
         for config_id, s_tr, s_te in keys:
-            population = s_te >= instance.max_test_size
-            entropy = None if population else np.random.SeedSequence([seed, config_id, s_tr, s_te])
-            expected = probe_synthetic(curves[config_id - 1], s_tr, s_te, entropy, population)
+            expected = reference_probe(instance, seed, config_id, s_tr, s_te)
             assert backend.probe(config_id, s_tr, s_te) == expected
-        assert sorted(backend._rung_words) == ([(1000, 2000), (2000, 4000)] if tabled else [])
+        rungs = [(1000, 2000), (2000, 4000), (2**32, 2**33 - 1)]
+        assert sorted(backend._rung_counts) == (rungs if tabled else [])
+        for counts in backend._rung_counts.values():
+            assert counts.dtype == np.int64 and counts.shape == (n,)
 
-    def test_small_backend_keeps_per_key_seeding(self):
-        n = probes._RUNG_TABLE_MIN_CONFIGS - 1
+    def test_outcomes_do_not_depend_on_probe_order(self):
+        curves = tuple(basic_spec(a_inf=0.6 + 0.03 * i) for i in range(10))
+        instance = SyntheticInstance("t", curves, 100_000, 200_000)
+        keys = [(i, s_tr, 2 * s_tr) for i in range(1, 11) for s_tr in (1000, 2000, 4000)]
+        outcomes = []
+        for order in range(4):
+            shuffled = list(keys)
+            random.Random(order).shuffle(shuffled)
+            backend = SyntheticBackend(instance, seed=2**63 - 25)
+            outcomes.append({key: backend.probe(*key) for key in shuffled})
+        assert all(out == outcomes[0] for out in outcomes)
+
+    def test_truncated_instance_shares_draws(self):
+        curves = tuple(basic_spec(a_inf=0.6 + 0.003 * i, b=0.1 + 0.004 * i) for i in range(100))
+        instance = SyntheticInstance("t", curves, 100_000, 200_000)
+        whole = SyntheticBackend(instance, seed=12345)
+        for n in (1, 7, 99):
+            part = SyntheticBackend(instance.truncated(n), seed=12345)
+            for s_tr in (1000, 8000):
+                for config_id in range(1, n + 1):
+                    assert part.probe(config_id, s_tr, 2000) == whole.probe(config_id, s_tr, 2000)
+
+    def test_full_test_set_probe_draws_nothing(self):
+        backend = SyntheticBackend(self.make_instance(), seed=9)
+        with mock.patch.object(backend, "_draw_rung", side_effect=AssertionError("drew")):
+            out = backend.probe(2, 1000, 200_000)
+        assert out.test_accuracy == basic_spec(a_inf=0.8).true_accuracy(1000)
+        assert backend._rung_counts == {} and backend._draws is None
+
+    def test_rung_counts_match_binomial_moments(self):
+        n, s_tr, s_te = 2000, 1000, 2000
         instance = SyntheticInstance("t", (basic_spec(),) * n, 100_000, 200_000)
-        backend = SyntheticBackend(instance, seed=9)
-        backend.probe(n, 1000, 2000)
-        assert backend._rung_words == {}
+        backend = SyntheticBackend(instance, seed=2**64 + 3)
+        backend.probe(1, s_tr, s_te)
+        counts = backend._rung_counts[s_tr, s_te].astype(float)
+        p = basic_spec().true_accuracy(s_tr)
+        var = s_te * p * (1 - p)
+        # The sample variance's own variance, with the binomial's fourth
+        # cumulant var * (1 - 6 p (1 - p)).
+        var_of_var = 2 * var**2 / (n - 1) + var * (1 - 6 * p * (1 - p)) / n
+        assert abs(counts.mean() - s_te * p) < 4 * math.sqrt(var / n)
+        assert abs(counts.var(ddof=1) - var) < 4 * math.sqrt(var_of_var)
 
     def test_truncation_and_file_roundtrip(self, tmp_path):
         inst = self.make_instance()

@@ -15,8 +15,12 @@ Each pass, in a fresh process, records:
 * the family table: every shipped adversarial family under every
   scheduler, backend seed 1000 + run: epsilon misses, runs in which a
   round prunes its own incumbent (self-prunes), runs that end with more
-  than the selection active (uncertified survivors), and a digest of the
-  runs' traces;
+  than the selection active (uncertified survivors), runs with a
+  "disjoint from snapshot" flag, runs whose selection ends with a
+  ``ci.lower`` below the largest ``ci.lower`` of its trace
+  (incumbent-lower drift), the median model-cost ratio (the selection's
+  ``wall_cost_total`` over the sum of every curve's full-data cost) and a
+  digest of the runs' traces;
 * the experiment: ``run_experiment`` (one worker) on a grid like the
   benchmark's ``grid_small_n`` (four shipped families with 20
   configurations, all five methods, epsilon 0.01 and 0.05, n = 4 and 20,
@@ -44,7 +48,7 @@ Each pass, in a fresh process, records:
   keys a gradient-CI run visits on the sweep's family at n = 10, 100, 2000
   and 10,000, once with the sweep's seed and once with a 63-bit
   ``run_experiment`` cell seed (entries ``<n>-cell``): µs per probe on a
-  fresh backend (cold: it builds its rung tables) and again on the same
+  fresh backend (cold: it draws its rungs) and again on the same
   backend (warm), a SHA-256 over the outcomes, and the µs to build one
   rung's seed-word table at that n (null for a program without one, or
   whose table takes only one-word seeds).
@@ -79,8 +83,8 @@ from pathlib import Path
 
 NS = (10, 100, 1000, 3000, 10000)
 QUICK_NS = (10, 100)
-# Sizes of the synthetic probe timings: below and above the rung-table
-# crossover, the benchmark's wide_synthetic n and the sweep's largest.
+# Sizes of the synthetic probe timings: two small n, the benchmark's
+# wide_synthetic n and the sweep's largest.
 PROBE_NS, QUICK_PROBE_NS = (10, 100, 2000, 10000), (10, 100)
 # Family -> runs, as in the acceptance suite's certified-families test.
 FAMILY_RUNS = {"plateau": 50, "sweep": 40, "monte_carlo": 40, "skewed": 40, "decoy": 40}
@@ -231,17 +235,26 @@ def _worker(
     for family, runs in FAMILY_RUNS.items() if family_runs else ():
         for kind in kinds:
             row = {"runs": 0, "epsilon_misses": 0, "self_prunes": 0,
-                   "uncertified_survivors": 0, "run_digests": []}
+                   "uncertified_survivors": 0, "snapshot_disjoint_runs": 0,
+                   "incumbent_lower_drift_runs": 0, "run_digests": []}
+            cost_ratios = []
             for seed in range(min(runs, family_runs)):
-                _, selected, trace, states, params = run(
-                    makers[family](seed), 1000 + seed, kind
-                )
+                instance = makers[family](seed)
+                _, selected, trace, states, params = run(instance, 1000 + seed, kind)
                 truths = trace.true_accuracies
+                full_cost = sum(c.cost(instance.max_train_size) for c in instance.curves)
+                final_lower = next(c.ci.lower for c in states if c.id == selected)
                 row["runs"] += 1
                 row["epsilon_misses"] += max(truths.values()) - truths[selected] > EPSILON
                 row["self_prunes"] += any(r.incumbent_id in r.pruned_ids for r in trace.rounds)
                 row["uncertified_survivors"] += [c.id for c in states if c.active] != [selected]
+                row["snapshot_disjoint_runs"] += any(
+                    "disjoint from snapshot" in flag for flag in trace.flags)
+                row["incumbent_lower_drift_runs"] += final_lower < max(
+                    r.ci.lower for r in trace.rounds)
                 row["run_digests"].append(hashlib.sha256(trace.to_jsonl().encode()).hexdigest())
+                cost_ratios.append(trace.wall_cost_total / full_cost)
+            row["cost_ratio_median"] = statistics.median(cost_ratios)
             families.setdefault(family, {})[kind.value] = row
 
     def experiment_spec(reps: int):
