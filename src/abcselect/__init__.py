@@ -46,7 +46,6 @@ from .probes import (
     SyntheticInstance,
     load_csv_dataset,
     probe_learner,
-    probe_synthetic,
 )
 from .scheduler import (
     GradientEstimate,

@@ -24,6 +24,7 @@ from .core import (
 from .engine import build_report, run_abc, select_with_budget, verify_selection
 from .harness import (
     _RUN_SETTINGS,
+    ABC_METHODS,
     ExperimentSpec,
     InstanceSource,
     containment_audit,
@@ -315,6 +316,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if "params" not in report:
         raise ConfigError("report file lacks the 'params' key")
     params = RunParams.from_dict(report["params"])
+    # Only an abc run writes a trace the audit can replay, and a run that
+    # writes no trace (full_run) leaves an earlier run's trace in place.
+    method = read_value(report, "method", "report", str)
+    if method.removesuffix("_budget") not in ABC_METHODS:
+        raise DocumentError(f"key 'method' in report is {method!r}, not an abc method")
+    if read_value(report, "rounds", "report", int) != len(rounds):
+        raise DocumentError(
+            f"key 'rounds' in report is {report['rounds']!r}, but the trace has "
+            f"{len(rounds)} rows"
+        )
 
     issues = structural_audit(rounds, params)
     if issues:

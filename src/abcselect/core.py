@@ -286,7 +286,6 @@ class ConfigurationState:
     ci: ConfidenceInterval = FULL_INTERVAL
     cached_ci: ConfidenceInterval = FULL_INTERVAL
     history: list[ProbeOutcome] = field(default_factory=list)
-    total_cost: float = 0.0
     active: bool = True
 
     def __post_init__(self) -> None:
@@ -306,7 +305,6 @@ class ConfigurationState:
                 f"does not exceed previous size {last.train_sample_size}"
             )
         self.history.append(outcome)
-        self.total_cost += outcome.cost
 
 
 def initial_states(labels: list[str], params: RunParams) -> list[ConfigurationState]:

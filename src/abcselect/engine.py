@@ -22,9 +22,11 @@ configuration's sample, each configuration is probed at most ``growth steps
 run ends within ``n * (growth steps + 1)`` rounds.
 
 A run builds its size ladder (a configuration's k-th probe is at rung k)
-and its :class:`~abcselect.ci_estimator.IntervalRule` once. One index,
-:class:`ActiveSet`, holds the ``(-upper, id)`` rank order and the prune
-rule; the loop and the structural audit's replay both use it and the rule.
+once. :class:`EngineState` owns the round rule, which the loop and the
+structural audit's replay both call: :meth:`EngineState.interval` applies
+the run's one :class:`~abcselect.ci_estimator.IntervalRule`, and
+:meth:`EngineState.settle` the incumbent rule and the prune rule of one
+index, :class:`ActiveSet`, which holds the ``(-upper, id)`` rank order.
 Only the probed configuration's interval changes in a round, so the
 engine's own work per round is O(log n) tuple comparisons plus list moves
 of at most n pointers, and each pick is O(1): UCB and gradient-CI read the
@@ -93,7 +95,9 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class EngineState:
-    """Snapshot of the loop: configurations, active set, incumbent, trace."""
+    """The loop's state (configurations, active set, incumbent, trace) and
+    its round: :meth:`interval`, then :meth:`settle` with the interval the
+    caller adopts, then the caller prunes the ids ``settle`` returns."""
 
     configs: list[ConfigurationState]
     params: RunParams
@@ -102,9 +106,30 @@ class EngineState:
     incumbent_lower: float = 0.0
     round_index: int = 0
     trace: RunTrace = field(default_factory=RunTrace)
+    rule: IntervalRule = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.rule = IntervalRule(self.params)
 
     def by_id(self, config_id: int) -> ConfigurationState:
         return self.configs[config_id - 1]
+
+    def interval(
+        self, cfg: ConfigurationState, outcome: ProbeOutcome
+    ) -> tuple[ConfidenceInterval, ConfidenceInterval, ConfidenceInterval, bool]:
+        """``(cached, raw, nested, disjoint)``: ``cfg``'s snapshot interval,
+        then the interval rule's update of it after ``outcome``."""
+        cached = self.active.cached(cfg)
+        return (cached, *self.rule.update(outcome, cached))
+
+    def settle(self, cfg: ConfigurationState, ci: ConfidenceInterval) -> tuple[int, ...]:
+        """Give ``cfg`` the interval ``ci``, make it the incumbent if its lower
+        bound is the highest seen so far, and return the ids the prune rule
+        selects (:meth:`ActiveSet.due`)."""
+        self.active.update(cfg, ci)
+        if ci.lower > self.incumbent_lower:
+            self.incumbent_id, self.incumbent_lower = cfg.id, ci.lower
+        return self.active.due(self.incumbent_id, self.incumbent_lower, self.params.epsilon)
 
 
 class ActiveSet:
@@ -368,7 +393,6 @@ def _run(
         rr_sweep = sweeps(state.configs, active.ids, itertools.count(2))
     grads = GradientSum()
     track_grads = scheduler is SchedulerKind.GRADIENT_CI
-    rule = IntervalRule(params)
     ladder, rungs = [], size_ladder(params)  # rungs are listed on first use
     pending = sorted(budgets, reverse=True)  # the next budget to read out is last
     readouts = state.trace.budget_readouts
@@ -424,8 +448,7 @@ def _run(
                 ) from exc
             state.round_index += 1
 
-            cached = active.cached(cfg)
-            raw, ci, disjoint = rule.update(outcome, cached)
+            cached, raw, ci, disjoint = state.interval(cfg, outcome)
             if disjoint:
                 msg = (
                     f"round {state.round_index}: interval [{raw.lower:.6f}, "
@@ -438,15 +461,9 @@ def _run(
 
             prev_ci = cfg.ci
             cfg.append_probe(outcome)
-            active.update(cfg, ci)
+            pruned = state.settle(cfg, ci)
             if track_grads and len(cfg.history) >= 2:
                 grads.set(cfg.id, _gradient_estimate(cfg, prev_ci))
-
-            if ci.lower > state.incumbent_lower:
-                state.incumbent_id = cfg.id
-                state.incumbent_lower = ci.lower
-
-            pruned = active.due(state.incumbent_id, state.incumbent_lower, params.epsilon)
             if pruned:
                 active.prune(pruned)
                 for pid in pruned:

@@ -3,9 +3,10 @@
 Runs every (method x instance x n x epsilon x repetition) cell of an
 experiment with per-cell seeds derived by hashing, emits one metrics row
 per cell (CSV + JSONL + aggregates), and provides two audits over traces:
-a structural replay audit (interval replay, nesting, prune condition,
-incumbent monotonicity, snapshot accounting) and a containment audit
-against simulator ground truth.
+a structural audit, which replays the recorded rows through the engine's
+own round rule (:class:`~abcselect.engine.EngineState`) and checks interval
+replay, nesting, the prune condition, incumbent monotonicity and snapshot
+accounting, and a containment audit against simulator ground truth.
 
 An abc method's budget cells share the seed of its unbudgeted cell, so one
 unbudgeted ``run_abc`` per (method, instance, n, epsilon, repetition) group
@@ -34,8 +35,7 @@ import numpy as np
 
 from .baselines import full_run, relative_accuracy_loss, successive_halving
 from .core import RunParams, RunTrace, TraceRound, check_run_setting, initial_states
-from .ci_estimator import IntervalRule
-from .engine import ActiveSet, run_abc
+from .engine import ActiveSet, EngineState, run_abc
 from .probes import (
     CurveSpec,
     LearnerBackend,
@@ -377,13 +377,17 @@ def run_experiment(
                             )
                         )
 
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_cell_safe, cells))
+    else:
+        results = map(_run_cell_safe, cells)
     rows: list[MetricsRow] = []
     failures: list[dict] = []
-
-    def _record(cell: _Cell, result: list[MetricsRow] | Exception) -> None:
+    for cell, result in zip(cells, results):
         if not isinstance(result, Exception):
             rows.extend(result)
-            return
+            continue
         for label in cell.instance_labels:
             logger.error("cell failed (%s on %s): %s", cell.method, label, result)
             failures.append(
@@ -396,17 +400,6 @@ def run_experiment(
                 }
             )
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell, result in zip(cells, pool.map(_run_cell_safe, cells)):
-                _record(cell, result)
-    else:
-        for cell in cells:
-            try:
-                _record(cell, _run_cell(cell))
-            except Exception as exc:  # noqa: BLE001 - cell isolation
-                _record(cell, exc)
-
     rows.sort(key=lambda r: (r.method, r.instance, r.epsilon, r.seed))
     if out_dir is not None:
         write_metrics(rows, out_dir, failures=failures)
@@ -416,7 +409,7 @@ def run_experiment(
 def _run_cell_safe(cell: _Cell) -> list[MetricsRow] | Exception:
     try:
         return _run_cell(cell)
-    except Exception as exc:  # noqa: BLE001
+    except Exception as exc:  # noqa: BLE001 - cell isolation
         return exc
 
 
@@ -491,22 +484,22 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
     Checks: round numbering, interval replay (bit-exact), nesting inside the
     cached snapshot interval, incumbent identity and lower-bound
     monotonicity, the prune condition, that the incumbent is never pruned,
-    prune uniqueness, snapshot flag accounting, and snapshot count < n.
+    prune uniqueness, and snapshot count < n.
 
-    The replay recomputes each interval with the engine's interval rule (one
-    :class:`~abcselect.ci_estimator.IntervalRule`) and keeps fresh configuration
-    states in the engine's :class:`~abcselect.engine.ActiveSet`, which gives
-    the set the prune rule selects and applies the recorded prunes and
-    snapshots, so a round costs O(log n). Each recorded prune is also checked
-    against the rule directly. A row whose test sample exceeds the full test
-    set raises ``ValueError``.
+    The replay runs the engine's own round over fresh configuration states:
+    an :class:`~abcselect.engine.EngineState` recomputes each row's interval
+    (:meth:`~abcselect.engine.EngineState.interval`), adopts the recorded
+    one, and applies the incumbent and prune rules to it
+    (:meth:`~abcselect.engine.EngineState.settle`). The recorded prunes are
+    checked against the ids the rule selects and then applied, so a round
+    costs O(log n). A row whose test sample exceeds the full test set raises
+    ``ValueError``.
     """
     issues: list[AuditIssue] = []
     n = params.n_configs
     states = initial_states([""] * n, params)
-    active = ActiveSet(states)
-    rule = IntervalRule(params)
-    incumbent_id, incumbent_lower = 1, 0.0
+    state = EngineState(states, params, ActiveSet(states), incumbent_id=1)
+    active = state.active
 
     for pos, row in enumerate(rounds):
         r = row.round_index
@@ -520,8 +513,7 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
         if not cfg.active:
             issues.append(AuditIssue(r, f"config {cid} probed after being pruned"))
 
-        cached = active.cached(cfg)
-        _, expected, _ = rule.update(row.outcome, cached)
+        cached, _, expected, _ = state.interval(cfg, row.outcome)
         if expected.lower != row.ci.lower or expected.upper != row.ci.upper:
             issues.append(
                 AuditIssue(
@@ -539,10 +531,9 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                     f"snapshot [{cached.lower}, {cached.upper}]",
                 )
             )
-        active.update(cfg, row.ci)
 
-        if row.ci.lower > incumbent_lower:
-            incumbent_id, incumbent_lower = cid, row.ci.lower
+        due = state.settle(cfg, row.ci)
+        incumbent_id = state.incumbent_id
         if row.incumbent_id != incumbent_id:
             issues.append(
                 AuditIssue(
@@ -551,14 +542,12 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                     f"replay gives {incumbent_id}",
                 )
             )
-
-        expected_pruned = active.due(incumbent_id, incumbent_lower, params.epsilon)
-        if row.pruned_ids != expected_pruned and tuple(sorted(row.pruned_ids)) != expected_pruned:
+        if row.pruned_ids != due and tuple(sorted(row.pruned_ids)) != due:
             issues.append(
                 AuditIssue(
                     r,
                     f"pruned set mismatch: recorded {sorted(row.pruned_ids)}, "
-                    f"replay gives {list(expected_pruned)}",
+                    f"replay gives {list(due)}",
                 )
             )
         for pid in row.pruned_ids:
@@ -568,18 +557,16 @@ def structural_audit(rounds: Sequence[TraceRound], params: RunParams) -> list[Au
                 issues.append(AuditIssue(r, f"config {pid} pruned twice"))
             elif pid == incumbent_id:
                 issues.append(AuditIssue(r, f"incumbent {pid} pruned"))
-            elif states[pid - 1].ci.upper - incumbent_lower > params.epsilon + 1e-12:
+            elif pid not in due:
                 issues.append(
                     AuditIssue(
                         r,
                         f"prune condition violated for config {pid}: upper "
-                        f"{states[pid - 1].ci.upper} - incumbent lower {incumbent_lower} "
-                        f"> epsilon {params.epsilon}",
+                        f"{states[pid - 1].ci.upper} - incumbent lower "
+                        f"{state.incumbent_lower} > epsilon {params.epsilon}",
                     )
                 )
         active.prune(row.pruned_ids)
-        if row.snapshot != bool(row.pruned_ids):
-            issues.append(AuditIssue(r, "snapshot flag inconsistent with pruning"))
 
     if active.snapshots >= n:
         issues.append(

@@ -36,7 +36,6 @@ __all__ = [
     "SyntheticInstance",
     "load_csv_dataset",
     "probe_learner",
-    "probe_synthetic",
 ]
 
 logger = logging.getLogger(__name__)
@@ -193,39 +192,6 @@ class CurveSpec:
 _CURVE_SETTERS = tuple(getattr(CurveSpec, f.name).__set__ for f in fields(CurveSpec))
 
 
-def probe_synthetic(
-    spec: CurveSpec,
-    s_tr: int,
-    s_te: int,
-    seed,
-    population_test: bool = False,
-) -> ProbeOutcome:
-    """Simulate one probe.
-
-    The test accuracy is a binomial draw with success probability equal to
-    the true accuracy at s_tr, modelling evaluation on a random test sample
-    of size s_te; with ``population_test`` the draw is skipped and the test
-    accuracy equals the true accuracy (evaluation on the whole test set).
-    ``seed`` is anything ``numpy.random.default_rng`` accepts.
-    """
-    if s_tr < 1 or s_te < 1:
-        raise ValueError("sample sizes must be >= 1")
-    truth = spec.true_accuracy(s_tr)
-    train_acc = spec.train_accuracy(s_tr, truth)
-    if population_test:
-        test_acc = truth
-    else:
-        rng = np.random.default_rng(seed)
-        test_acc = rng.binomial(s_te, truth) / s_te
-    return ProbeOutcome(
-        train_sample_size=s_tr,
-        test_sample_size=s_te,
-        train_accuracy=train_acc,
-        test_accuracy=test_acc,
-        cost=spec.cost(s_tr),
-    )
-
-
 @dataclass(frozen=True)
 class SyntheticInstance:
     """A named bundle of curves plus the full data sizes they live over."""
@@ -337,21 +303,21 @@ class SyntheticBackend:
         spec = self._spec(config_id)
         if s_tr > self._instance.max_train_size or s_te > self._instance.max_test_size:
             raise ValueError("requested sizes exceed the full data sizes")
-        # Evaluating on the entire test set measures the accuracy exactly,
-        # with no draw.
-        if s_te >= self._instance.max_test_size:
-            return probe_synthetic(spec, s_tr, s_te, None, population_test=True)
         if s_tr < 1 or s_te < 1:
             raise ValueError("sample sizes must be >= 1")
-        counts = self._rung_counts.get((s_tr, s_te))
-        if counts is None:
-            counts = self._rung_counts[s_tr, s_te] = self._draw_rung(s_tr, s_te)
-        truth = spec.true_accuracy(s_tr)
+        truth = test_accuracy = spec.true_accuracy(s_tr)
+        # Evaluating on the entire test set measures the accuracy exactly,
+        # with no draw.
+        if s_te < self._instance.max_test_size:
+            counts = self._rung_counts.get((s_tr, s_te))
+            if counts is None:
+                counts = self._rung_counts[s_tr, s_te] = self._draw_rung(s_tr, s_te)
+            test_accuracy = counts.item(config_id - 1) / s_te
         return ProbeOutcome(
             train_sample_size=s_tr,
             test_sample_size=s_te,
             train_accuracy=spec.train_accuracy(s_tr, truth),
-            test_accuracy=counts.item(config_id - 1) / s_te,
+            test_accuracy=test_accuracy,
             cost=spec.cost(s_tr),
         )
 

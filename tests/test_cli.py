@@ -230,6 +230,26 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "key 'true_accuracies' in report" in err and key in err
 
+    @pytest.mark.parametrize("method", ["successive_halving", "full_run"])
+    def test_report_of_another_method_exits_2(self, synthetic_setup, capsys, method):
+        # A successive-halving trace audited to 48 false findings and exit 3;
+        # full_run writes no trace and left the abc run's beside its report.
+        trace, report = self.run_once(synthetic_setup)
+        _, config_path, _ = synthetic_setup
+        assert main(["run", str(config_path), "--method", method]) == EXIT_OK
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "key 'method' in report" in err and method in err
+
+    def test_report_rounds_other_than_trace_rows_exits_2(self, synthetic_setup, capsys):
+        trace, report = self.run_once(synthetic_setup)
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:-1]) + "\n")
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"key 'rounds' in report is {len(lines)}" in err
+        assert f"{len(lines) - 1} rows" in err
+
     def test_report_without_params_exits_1(self, synthetic_setup, capsys):
         trace, report = self.run_once(synthetic_setup)
         data = json.loads(report.read_text())

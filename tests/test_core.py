@@ -97,7 +97,6 @@ class TestConfigurationState:
         cfg.append_probe(make_outcome(s_tr=200))
         with pytest.raises(ValueError):
             cfg.append_probe(make_outcome(s_tr=200))
-        assert cfg.total_cost == 2.0
 
     def test_initial_states_assign_ids_in_order(self):
         params = RunParams(0.01, 0.5, 3, 10, 10, 2.0, 1.0, 100, 100, 0)

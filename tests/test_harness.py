@@ -365,6 +365,32 @@ class TestStructuralAudit:
         assert not any("pruned twice" in m for m in messages)
 
 
+SHIPPED_FAMILIES = {
+    "plateau": make_plateau_instance,
+    "sweep": make_sweep_instance,
+    "skewed": make_skewed_cost_instance,
+    "decoy": make_expensive_decoy_instance,
+    "monte_carlo": make_monte_carlo_instance,
+}
+
+
+@pytest.mark.parametrize("scheduler", list(SchedulerKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("family", sorted(SHIPPED_FAMILIES))
+def test_every_family_and_scheduler_audits_clean(family, scheduler):
+    instance = SHIPPED_FAMILIES[family](7)
+    states, backend, params = fresh_run_inputs(instance, seed=7)
+    _, trace = run_abc(states, backend, params, scheduler)
+    assert structural_audit(trace.rounds, params) == []
+    # A run stopped at half that cost by its budget.
+    states, backend, params = fresh_run_inputs(instance, seed=7)
+    _, stopped = select_with_budget(
+        states, backend, params, scheduler, trace.wall_cost_total / 2
+    )
+    assert stopped.budget_readouts[0].flag is not None
+    assert 0 < stopped.n_rounds < trace.n_rounds
+    assert structural_audit(stopped.rounds, params) == []
+
+
 # Seeded tamperings of engine traces and the SHA-256 of the findings the
 # structural audit reports for them. The digests were recorded on the
 # engine whose prune rule never removes the incumbent; a change to any

@@ -21,7 +21,6 @@ from abcselect.probes import (
     SyntheticInstance,
     load_csv_dataset,
     probe_learner,
-    probe_synthetic,
 )
 
 
@@ -53,10 +52,9 @@ def basic_spec(**overrides):
 class TestCurveSpec:
     def test_closed_form_values(self):
         spec = basic_spec()
-        out = probe_synthetic(spec, 10_000, 2000, seed=0)
-        assert out.train_accuracy == pytest.approx(0.898, abs=1e-12)
+        assert spec.train_accuracy(10_000) == pytest.approx(0.898, abs=1e-12)
         assert spec.true_accuracy(10_000) == pytest.approx(0.895, abs=1e-12)
-        assert out.cost == pytest.approx(10_000.0)
+        assert spec.cost(10_000) == pytest.approx(10_000.0)
 
     def test_flat_curve_when_b_zero(self):
         spec = basic_spec(b=0.0)
@@ -129,24 +127,6 @@ class TestCurveSpec:
         assert spec.true_accuracy(s * factor) >= spec.true_accuracy(s) - 1e-12
 
 
-class TestProbeSynthetic:
-    def test_large_test_sample_concentrates(self):
-        spec = basic_spec()
-        out = probe_synthetic(spec, 10_000, 4_000_000, seed=123)
-        assert out.test_accuracy == pytest.approx(spec.true_accuracy(10_000), abs=2e-3)
-
-    def test_population_test_is_exact(self):
-        spec = basic_spec()
-        out = probe_synthetic(spec, 10_000, 100, seed=5, population_test=True)
-        assert out.test_accuracy == spec.true_accuracy(10_000)
-
-    def test_deterministic_per_seed(self):
-        spec = basic_spec()
-        a = probe_synthetic(spec, 1000, 2000, seed=42)
-        b = probe_synthetic(spec, 1000, 2000, seed=42)
-        assert a == b
-
-
 class TestSyntheticBackend:
     def make_instance(self):
         return SyntheticInstance(
@@ -157,6 +137,14 @@ class TestSyntheticBackend:
     def test_purity(self):
         backend = SyntheticBackend(self.make_instance(), seed=9)
         assert backend.probe(1, 1000, 2000) == backend.probe(1, 1000, 2000)
+
+    def test_large_test_sample_concentrates(self):
+        spec = basic_spec()
+        instance = SyntheticInstance(
+            name="t", curves=(spec,), max_train_size=100_000, max_test_size=8_000_000
+        )
+        out = SyntheticBackend(instance, seed=123).probe(1, 10_000, 4_000_000)
+        assert out.test_accuracy == pytest.approx(spec.true_accuracy(10_000), abs=2e-3)
 
     def test_true_accuracy_at_full_train(self):
         backend = SyntheticBackend(self.make_instance(), seed=9)
