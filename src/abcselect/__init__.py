@@ -54,7 +54,6 @@ from .scheduler import (
     gradient_ci_pick,
     next_sample_size,
     optimal_step_size,
-    round_robin_pick,
     sweeps,
     ucb_pick,
 )

@@ -39,6 +39,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_AUDIT = 3
 
+METHODS = ("abc", "full_run", "successive_halving")
+
 logger = logging.getLogger(__name__)
 
 
@@ -53,9 +55,9 @@ def _load_json(path: str | Path, what: str) -> dict:
     try:
         data = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} file {p} is not valid JSON: {exc}") from exc
+        raise DocumentError(f"{what} file {p} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"{what} file {p} must hold a JSON object")
+        raise DocumentError(f"{what} file {p} must hold a JSON object")
     return data
 
 
@@ -178,7 +180,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ConfigError(f"invalid params: {exc}") from exc
 
     method = args.method or conf.get("method", "abc")
-    if method not in ("abc", "full_run", "successive_halving"):
+    if method not in METHODS:
         raise ConfigError(f"unknown key 'method' value {method!r} in run config")
     sched_name = args.scheduler or conf.get("scheduler", "gradient_ci")
     try:
@@ -314,7 +316,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     rounds = load_trace_rounds(args.trace)
     report = _load_json(args.report, "report")
     if "params" not in report:
-        raise ConfigError("report file lacks the 'params' key")
+        raise DocumentError("report file lacks the 'params' key")
     params = RunParams.from_dict(report["params"])
     # Only an abc run writes a trace the audit can replay, and a run that
     # writes no trace (full_run) leaves an earlier run's trace in place.
@@ -394,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a selection described by a config file")
     p_run.add_argument("config", help="path to the run config JSON")
-    p_run.add_argument("--method", choices=["abc", "full_run", "successive_halving"])
+    p_run.add_argument("--method", choices=METHODS)
     p_run.add_argument("--scheduler", choices=[k.value for k in SchedulerKind])
     p_run.add_argument("--budget", type=float, help="cost budget for an anytime run")
     p_run.add_argument(
@@ -435,8 +437,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, DocumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # The trace and report an audit reads are a run's output: data, not configuration.
-        data = isinstance(exc, DocumentError) and args.command == "audit"
+        # The trace and report that audit and report read are a run's
+        # output: data, not configuration.
+        data = isinstance(exc, DocumentError) and args.command in ("audit", "report")
         return EXIT_DATA if data else EXIT_CONFIG
     except (FileNotFoundError, OSError, BackendError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,11 +32,13 @@ engine's own work per round is O(log n) tuple comparisons plus list moves
 of at most n pointers, and each pick is O(1): UCB and gradient-CI read the
 head of the ranked order, and gradient-CI's G is an exact sum that gains or
 loses one term when a configuration is probed or pruned
-(:class:`~abcselect.scheduler.GradientSum`). The warm-up is two
-:func:`~abcselect.scheduler.sweeps`, each a queue built once; round-robin
-continues them. Pruning walks in from the low-upper end of the ranked order
-(``upper - incumbent_lower`` is monotone in ``upper`` under float
-subtraction), and snapshots are lazy (see :class:`ActiveSet`).
+(:class:`~abcselect.scheduler.GradientSum`). A run has one
+:func:`~abcselect.scheduler.sweeps` generator, each sweep a queue built
+once: the warm-up's two, and for round-robin every sweep after them, so a
+round-robin run never calls the pick. Pruning walks in from the low-upper
+end of the ranked order (``upper - incumbent_lower`` is monotone in
+``upper`` under float subtraction), and snapshots are lazy (see
+:class:`ActiveSet`).
 
 Budgets are readouts of one run. The loop takes an ascending tuple of cost
 budgets and makes one budget check per round: it records, for the smallest
@@ -135,11 +137,11 @@ class EngineState:
 class ActiveSet:
     """Index of a run's active configurations, updated one entry at a time.
 
-    ``ids`` holds the active ids in ascending order and ``ranked`` the active
+    ``active`` is the set of active ids and ``ranked`` the active
     configurations ordered by ``(-upper, id)``: UCB's pick and gradient-CI's
-    pair at its head, the prune candidates at its low-upper end. ``active``
-    is the set of active ids. ``update`` and ``prune`` find an entry by
-    bisecting a parallel list of the ``(-upper, id)`` keys.
+    pair at its head, the prune candidates at its low-upper end. ``update``
+    and ``prune`` find an entry by bisecting a parallel list of the
+    ``(-upper, id)`` keys.
 
     Snapshots are lazy. ``prune`` counts a snapshot in ``snapshots``, and a
     configuration's ``cached_ci`` is set from its ``ci`` only when it is read
@@ -150,15 +152,14 @@ class ActiveSet:
     def __init__(self, configs: Sequence[ConfigurationState]):
         """``configs[i]`` must have id ``i + 1``, as the engine requires."""
         self._configs = list(configs)
-        self.ids = [c.id for c in configs if c.active]
-        self.active = set(self.ids)
+        self.active = {c.id for c in configs if c.active}
         self.snapshots = 0
         self._synced = [0] * len(configs)
         self._keys = sorted((-c.ci.upper, c.id) for c in configs if c.active)
         self.ranked = [self._configs[i - 1] for _, i in self._keys]
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.active)
 
     def cached(self, cfg: ConfigurationState) -> ConfidenceInterval:
         """``cfg.cached_ci``, first brought up to date if ``cfg`` is active."""
@@ -205,7 +206,6 @@ class ActiveSet:
             cfg = self._configs[cid - 1]
             self.cached(cfg)
             self._unrank(cfg)
-            del self.ids[bisect_left(self.ids, cid)]
             self.active.discard(cid)
             cfg.active = False
         if ids:
@@ -253,11 +253,12 @@ def _sweep_keys(
 ) -> Iterator[tuple[int, int, int]]:
     """``(config_id, s_tr, s_te)`` of the probes left in ``cfg``'s sweep if
     nothing is pruned meanwhile: ``cfg``'s, then each active configuration
-    after it with as many probes, in id order, all at ``sizes``."""
-    ids, count = state.active.ids, len(cfg.history)
-    for cid in itertools.islice(ids, bisect_left(ids, cfg.id), None):
-        if len(state.by_id(cid).history) == count:
-            yield (cid, *sizes)
+    after it with as many probes, in id order, all at ``sizes``. The
+    configurations are read lazily, as far as the keys are taken."""
+    count = len(cfg.history)
+    for c in itertools.islice(state.configs, cfg.id - 1, None):
+        if c.active and len(c.history) == count:
+            yield (c.id, *sizes)
 
 
 def _usable_cpus() -> int:
@@ -387,10 +388,8 @@ def _run(
     state.trace.params = params
     # The warm-up probes every configuration at the initial size, then once
     # grown; round-robin is the same sweeps continued.
-    warmup = sweeps(state.configs, active.ids, range(2))
-    rr_sweep = None
-    if scheduler is SchedulerKind.ROUND_ROBIN:
-        rr_sweep = sweeps(state.configs, active.ids, itertools.count(2))
+    rr = scheduler is SchedulerKind.ROUND_ROBIN
+    sweep = sweeps(state.configs, itertools.count() if rr else range(2))
     grads = GradientSum()
     track_grads = scheduler is SchedulerKind.GRADIENT_CI
     ladder, rungs = [], size_ladder(params)  # rungs are listed on first use
@@ -400,17 +399,15 @@ def _run(
     workers = _sweep_workers(backend)
     try:
         while len(active) > 1:
-            cfg = next(warmup, None)
+            cfg = next(sweep, None)
             if cfg is None:
-                if workers is not None and rr_sweep is None:  # the sweeps are over
+                if workers is not None:  # the sweeps are over
                     workers.close()
                     workers = None
                 last = state.by_id(state.incumbent_id).last_outcome
                 saturated = last is not None and last.train_sample_size >= params.max_train_size
                 cfg = state.by_id(
-                    pick_next(
-                        scheduler, active.ranked, grads, state.incumbent_id, saturated, rr_sweep
-                    )
+                    pick_next(scheduler, active.ranked, grads, state.incumbent_id, saturated)
                 )
             k = len(cfg.history)
             while k >= len(ladder):

@@ -7,15 +7,17 @@ Three schedulers decide which active configuration to probe next:
 * UCB: always probe the configuration with the highest upper bound;
 * round-robin: probe the configuration with the fewest probes so far.
 
-Each pick is O(1). UCB and gradient-CI read the head of the active set
-ranked by ``(-upper, id)``, as :class:`~abcselect.engine.ActiveSet` keeps
-it; gradient-CI's sum G is kept exact and up to date by
-:class:`GradientSum`, one configuration at a time. Round-robin continues
-the warm-up's :func:`sweeps`. None of them picks a saturated incumbent (one
-already probed on the full data, whose interval is the exact point).
-Gradient-CI skips it; every other active configuration has fewer probes and
-an upper bound above that point by more than epsilon, so UCB and
-round-robin never rank it first.
+Every run starts with the warm-up, two :func:`sweeps`, and round-robin is
+those sweeps continued (successive elimination: every surviving
+configuration is probed once per sweep), so :func:`pick_next` serves the
+other two. Each of their picks is O(1): they read the head of the active
+set ranked by ``(-upper, id)``, as :class:`~abcselect.engine.ActiveSet`
+keeps it, and gradient-CI's sum G is kept exact and up to date by
+:class:`GradientSum`, one configuration at a time. No scheduler picks a
+saturated incumbent (one already probed on the full data, whose interval
+is the exact point). Gradient-CI skips it; every other active
+configuration has fewer probes and an upper bound above that point by more
+than epsilon, so UCB and round-robin never rank it first.
 
 Sample sizes grow geometrically by a factor ``c``; for a cost model
 ``T(s) = s**alpha`` the worst-case-optimal factor is ``2**(1/alpha)``.
@@ -38,7 +40,6 @@ __all__ = [
     "next_sample_size",
     "optimal_step_size",
     "pick_next",
-    "round_robin_pick",
     "size_ladder",
     "sweeps",
     "ucb_pick",
@@ -174,21 +175,23 @@ class GradientSum:
 
 
 def sweeps(
-    configs: Sequence[ConfigurationState], ids: Sequence[int], counts: Iterable[int]
+    configs: Sequence[ConfigurationState], counts: Iterable[int]
 ) -> Iterator[ConfigurationState]:
     """For each probe count k in ``counts``, the active configurations with
-    exactly k probes, lowest id first.
+    exactly k probes, lowest id first: the warm-up with ``range(2)`` and
+    round-robin with ``itertools.count()``.
 
-    ``configs[i - 1]`` has id i, and ``ids`` is the live ascending list of
-    active ids (``ActiveSet.ids``). Each sweep's queue is built from ``ids``
-    when the sweep starts; entries pruned meanwhile are skipped. The
-    generator ends when ``counts`` does or no id is left.
+    ``configs[i - 1]`` has id i. Each sweep's queue is built from
+    ``configs`` when the sweep starts; entries pruned meanwhile are skipped.
+    If a sweep starts at a count no active configuration is below, and only
+    the sweep's own picks add probes, each entry is an active configuration
+    with the fewest probes and, among those, the lowest id. The generator
+    ends when ``counts`` does or no configuration is active.
     """
     for k in counts:
-        if not ids:
+        if not any(c.active for c in configs):
             return
-        queue = [configs[i - 1] for i in ids if len(configs[i - 1].history) == k]
-        for cfg in queue:
+        for cfg in [c for c in configs if c.active and len(c.history) == k]:
             if cfg.active:
                 yield cfg
 
@@ -199,21 +202,6 @@ def ucb_pick(ranked: Sequence[ConfigurationState]) -> int:
     if not ranked:
         raise ValueError("no active configurations")
     return ranked[0].id
-
-
-def round_robin_pick(sweep: Iterator[ConfigurationState]) -> int:
-    """Id of the active configuration with the fewest probes (ties: lowest
-    id): the next entry of ``sweep``, a :func:`sweeps` generator started at
-    a count no active configuration is below.
-
-    At sweep k every active configuration then has at least k probes, and
-    only the sweep's own picks add probes, so the next queue entry is the
-    one with the fewest probes and the lowest id.
-    """
-    cfg = next(sweep, None)
-    if cfg is None:
-        raise ValueError("no active configurations")
-    return cfg.id
 
 
 def gradient_ci_pick(
@@ -258,17 +246,12 @@ def pick_next(
     grads: GradientSum,
     incumbent_id: int,
     incumbent_saturated: bool = False,
-    sweep: Iterator[ConfigurationState] | None = None,
 ) -> int:
-    """Dispatch to the scheduler variant. Gradient-CI reads ``ranked``,
-    ``grads`` and the incumbent, UCB only ``ranked``, round-robin only
-    ``sweep``."""
+    """Dispatch to the scheduler variant after the warm-up. Gradient-CI
+    reads ``ranked``, ``grads`` and the incumbent, UCB only ``ranked``;
+    round-robin picks from :func:`sweeps` alone and is not served here."""
     if kind is SchedulerKind.GRADIENT_CI:
         return gradient_ci_pick(ranked, grads, incumbent_id, incumbent_saturated)
     if kind is SchedulerKind.UCB:
         return ucb_pick(ranked)
-    if kind is SchedulerKind.ROUND_ROBIN:
-        if sweep is None:
-            raise ValueError("round-robin needs its sweep generator")
-        return round_robin_pick(sweep)
-    raise ValueError(f"unknown scheduler kind: {kind!r}")
+    raise ValueError(f"no pick for scheduler kind {kind!r}; round-robin is its sweeps")

@@ -122,6 +122,10 @@ def test_experiment_empty_epsilon_grid_exits_1(tmp_path, capsys):
     assert "epsilon_grid" in capsys.readouterr().err
 
 
+# A document that is not valid JSON, and one that is not an object.
+MALFORMED_JSON = [("{", "is not valid JSON"), ("[1]", "must hold a JSON object")]
+
+
 class TestAudit:
     def run_once(self, synthetic_setup):
         tmp_path, config_path, _ = synthetic_setup
@@ -250,13 +254,20 @@ class TestAudit:
         assert f"key 'rounds' in report is {len(lines)}" in err
         assert f"{len(lines) - 1} rows" in err
 
-    def test_report_without_params_exits_1(self, synthetic_setup, capsys):
+    def test_report_without_params_exits_2(self, synthetic_setup, capsys):
         trace, report = self.run_once(synthetic_setup)
         data = json.loads(report.read_text())
         del data["params"]
         report.write_text(json.dumps(data))
-        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_CONFIG
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
         assert "'params'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", MALFORMED_JSON)
+    def test_report_not_a_json_object_exits_2(self, synthetic_setup, capsys, text, message):
+        trace, report = self.run_once(synthetic_setup)
+        report.write_text(text)
+        assert main(["audit", "--trace", str(trace), "--report", str(report)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
 
 
 def test_report_summary(synthetic_setup, capsys):
@@ -266,6 +277,23 @@ def test_report_summary(synthetic_setup, capsys):
     assert main(["report", str(tmp_path / "report.json")]) == EXIT_OK
     out = capsys.readouterr().out
     assert "selected" in out and "cost (i)" in out
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_JSON)
+def test_report_summary_of_malformed_report_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_JSON)
+def test_run_config_not_a_json_object_exits_1(tmp_path, capsys, text, message):
+    # A run config is configuration, so it stays at exit 1.
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_csv_backend_round_trip(tmp_path):

@@ -5,6 +5,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +50,22 @@ def small_spec(methods, reps=1, budget_grid=(), eps=(0.01,)):
         base_seed=17,
         budget_grid=tuple(budget_grid),
     )
+
+
+@pytest.mark.parametrize(
+    "file, make",
+    [
+        ("demo.json", make_monte_carlo_instance),
+        ("adversarial_plateau.json", make_plateau_instance),
+        ("expensive_decoy.json", make_expensive_decoy_instance),
+        ("skewed_costs.json", make_skewed_cost_instance),
+        ("tolerance_sweep.json", make_sweep_instance),
+    ],
+)
+def test_shipped_instance_is_reproducible(file, make):
+    # The README's claim: the shipped families are their make_* at seed 0.
+    path = Path(__file__).resolve().parent.parent / "instances" / file
+    assert SyntheticInstance.load(path) == make(0)
 
 
 class TestCellSeed:

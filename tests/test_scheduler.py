@@ -15,7 +15,6 @@ from abcselect.scheduler import (
     next_sample_size,
     optimal_step_size,
     pick_next,
-    round_robin_pick,
     size_ladder,
     sweeps,
     ucb_pick,
@@ -300,9 +299,9 @@ class TestUcbPick:
         assert ucb_pick([make_config(7, 0.5)]) == 7
 
 
-def round_robin(configs, ids=None):
-    ids = [c.id for c in configs] if ids is None else ids
-    return sweeps(configs, ids, itertools.count(2))
+def round_robin(configs):
+    """Round-robin's picks after the warm-up: the sweeps from count 2 on."""
+    return sweeps(configs, itertools.count(2))
 
 
 class TestRoundRobinPick:
@@ -312,33 +311,34 @@ class TestRoundRobinPick:
             make_config(2, 0.9, probes=2),
             make_config(3, 0.9, probes=3),
         ]
-        assert round_robin_pick(round_robin(configs)) == 2
+        assert next(round_robin(configs)).id == 2
 
     def test_tie_breaks_by_id(self):
         configs = [make_config(1, 0.9, probes=2), make_config(2, 0.9, probes=2)]
-        assert round_robin_pick(round_robin(configs)) == 1
+        assert next(round_robin(configs)).id == 1
 
     def test_singleton(self):
         configs = [make_config(i, 0.9) for i in range(1, 5)]
-        assert round_robin_pick(round_robin(configs, ids=[4])) == 4
+        for cfg in configs[:3]:
+            cfg.active = False
+        assert next(round_robin(configs)).id == 4
 
     def test_sweeps_continue_in_fewest_probes_order(self):
         configs = [make_config(i, 0.9, probes=2) for i in range(1, 4)]
-        ids = [1, 2, 3]
-        sweep = round_robin(configs, ids)
+        sweep = round_robin(configs)
         picks = []
         for _ in range(5):
-            cfg = configs[round_robin_pick(sweep) - 1]
+            cfg = next(sweep)
             cfg.append_probe(ProbeOutcome(1000 * (len(cfg.history) + 1), 2000, 0.9, 0.85, 1.0))
             picks.append(cfg.id)
             if cfg.id == 2:  # pruned after its third probe
                 cfg.active = False
-                ids.remove(2)
         assert picks == [1, 2, 3, 1, 3]
 
     def test_no_active_configuration(self):
-        with pytest.raises(ValueError):
-            round_robin_pick(round_robin([make_config(1, 0.9)], ids=[]))
+        cfg = make_config(1, 0.9)
+        cfg.active = False
+        assert next(round_robin([cfg]), None) is None
 
 
 def test_pick_next_dispatch():
@@ -346,8 +346,6 @@ def test_pick_next_dispatch():
     order = ranked(configs)
     grads = gradient_sum({i: GradientEstimate(1.0, 0.01, -0.01) for i in (1, 2)})
     assert pick_next(SchedulerKind.UCB, order, grads, 1) == 2
-    sweep = round_robin(configs)
-    assert pick_next(SchedulerKind.ROUND_ROBIN, order, grads, 1, sweep=sweep) == 1
     with pytest.raises(ValueError):
         pick_next(SchedulerKind.ROUND_ROBIN, order, grads, 1)
     assert pick_next(SchedulerKind.GRADIENT_CI, order, grads, 1) in (1, 2)

@@ -49,9 +49,7 @@ Each pass, in a fresh process, records:
   and 10,000, once with the sweep's seed and once with a 63-bit
   ``run_experiment`` cell seed (entries ``<n>-cell``): µs per probe on a
   fresh backend (cold: it draws its rungs) and again on the same
-  backend (warm), a SHA-256 over the outcomes, and the µs to build one
-  rung's seed-word table at that n (null for a program without one, or
-  whose table takes only one-word seeds).
+  backend (warm), and a SHA-256 over the outcomes.
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
@@ -124,7 +122,7 @@ def _worker(
 
     import numpy as np
 
-    from abcselect import harness, probes
+    from abcselect import harness
     from abcselect.core import RunParams, initial_states
     from abcselect.engine import run_abc
     from abcselect.probes import CurveSpec, SyntheticBackend, SyntheticInstance
@@ -200,27 +198,12 @@ def _worker(
                 seconds = time.perf_counter() - start
                 sample.append(seconds / len(keys) * 1e6)
                 spent += seconds
-        # A program whose table takes the seed's 32-bit words splits it with
-        # _uint32_words; an older one takes a seed below 2**32 itself.
-        build = getattr(probes, "_rung_seed_words", None)
-        if hasattr(probes, "_uint32_words"):
-            table_seed = probes._uint32_words(seed)
-        elif seed < 2**32:
-            table_seed = seed
-        else:
-            build = None
-        builds = []
-        while build is not None and (len(builds) < 5 or sum(builds) < min_seconds / 10):
-            start = time.perf_counter()
-            build(table_seed, n, 1000, 2000)
-            builds.append(time.perf_counter() - start)
         synthetic[f"{n}-cell" if cell else str(n)] = {
             "seed": seed,
             "keys": len(keys),
             "rungs": len(set(key[1:] for key in keys)),
             "cold_us_per_probe": statistics.median(cold),
             "warm_us_per_probe": statistics.median(warm),
-            "table_build_us": statistics.median(builds) * 1e6 if builds else None,
             "outcomes_sha256": hashlib.sha256(repr(outcomes).encode()).hexdigest(),
         }
 
@@ -568,11 +551,8 @@ def _side(passes: list[dict]) -> dict:
         if len({s["outcomes_sha256"] for s in samples}) != 1:
             raise SystemExit(f"synthetic probes n={n}: outcomes differ between passes")
         synthetic[n] = {k: first[k] for k in ("seed", "keys", "rungs", "outcomes_sha256")}
-        for key in ("cold_us_per_probe", "warm_us_per_probe", "table_build_us"):
+        for key in ("cold_us_per_probe", "warm_us_per_probe"):
             values = [s[key] for s in samples]
-            if None in values:
-                synthetic[n][key] = None
-                continue
             synthetic[n][key] = round(statistics.median(values), 2)
             synthetic[n][f"{key}_passes"] = [round(v, 2) for v in values]
     gate = {}
