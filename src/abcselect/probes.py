@@ -17,8 +17,10 @@ import hashlib
 import json
 import logging
 import math
+import threading
 import time
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -194,7 +196,15 @@ _CURVE_SETTERS = tuple(getattr(CurveSpec, f.name).__set__ for f in fields(CurveS
 
 @dataclass(frozen=True)
 class SyntheticInstance:
-    """A named bundle of curves plus the full data sizes they live over."""
+    """A named bundle of curves plus the full data sizes they live over.
+
+    An instance also keeps what every backend over it shares, each built on
+    first use: its labels, one float64 array of the curves' true accuracies
+    per train size (:meth:`truths`) and one instance per truncation
+    (:meth:`truncated`). That state is not a field, so it stays out of
+    ``==``, ``hash``, ``repr`` and pickles. Building it is idempotent, so
+    threads may share an instance.
+    """
 
     name: str
     curves: tuple[CurveSpec, ...]
@@ -207,16 +217,42 @@ class SyntheticInstance:
         for key in ("max_train_size", "max_test_size"):
             if not getattr(self, key) >= 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
+        object.__setattr__(self, "_truths", {})
+        object.__setattr__(self, "_truncations", {})
+
+    def __reduce__(self):
+        # Pickle the fields alone: a run_experiment worker gets its cells'
+        # instances without the tables a process has built.
+        return type(self), (self.name, self.curves, self.max_train_size, self.max_test_size)
 
     @property
     def n_configs(self) -> int:
         return len(self.curves)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(f"curve-{i + 1}" for i in range(len(self.curves)))
+
+    def truths(self, s_tr: int) -> np.ndarray:
+        """Every curve's ``true_accuracy(s_tr)``, in id order, as float64.
+
+        Tabled per train size at first use, from the same scalar calls, so
+        each entry is bit-identical to the curve's own value."""
+        table = self._truths.get(s_tr)
+        if table is None:
+            table = np.array([c.true_accuracy(s_tr) for c in self.curves], dtype=np.float64)
+            self._truths[s_tr] = table
+        return table
+
     def truncated(self, n: int) -> "SyntheticInstance":
-        """Instance restricted to the first n curves."""
+        """Instance restricted to the first n curves: one per n, so that
+        its backends share its tables."""
         if not 1 <= n <= len(self.curves):
             raise ValueError(f"cannot truncate {len(self.curves)} curves to {n}")
-        return replace(self, curves=self.curves[:n])
+        part = self._truncations.get(n)
+        if part is None:
+            part = self._truncations[n] = replace(self, curves=self.curves[:n])
+        return part
 
     def to_dict(self) -> dict:
         return {
@@ -246,23 +282,50 @@ class SyntheticInstance:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+# One generator per thread, made at the thread's first draw and re-keyed by
+# every draw (see SyntheticBackend._draw_rung). It is made then, not at
+# import: NumPy imports numpy.random lazily, and importing it along with this
+# module raised the peak RSS of every process by about 0.5 MB.
+_THREAD_DRAWS = threading.local()
+
+
+def _keyed_generator(key: bytes) -> np.random.Generator:
+    """This thread's generator, its PCG64 state set from a 32-byte key."""
+    draws = getattr(_THREAD_DRAWS, "generator", None)
+    if draws is None:
+        draws = _THREAD_DRAWS.generator = np.random.Generator(np.random.PCG64(0))
+    draws.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {
+            "state": int.from_bytes(key[:16], "little"),
+            "inc": int.from_bytes(key[16:], "little") | 1,
+        },
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return draws
+
+
 class SyntheticBackend:
     """Probe backend over a synthetic instance; deterministic per (seed, id, sizes).
 
-    A probe below the full test set reads its test accuracy from its size
-    rung ``(s_tr, s_te)``. The first probe at a rung draws the test-sample
-    successes of every configuration at once: ``binomial(s_te, truths)``,
-    where ``truths`` are the curves' true accuracies at ``s_tr``, from a
-    PCG64 whose state is keyed by ``(seed, s_tr, s_te)`` (see
-    :meth:`_draw_rung`). The backend keeps the counts, one int64 per
-    configuration and rung. NumPy draws an array's elements in order from
-    one stream, so configuration i's draw depends only on the seed, the
-    sizes and curves 1..i: an instance's ``truncated(n)`` shares its draws.
-    A probe on the full test set draws nothing.
+    A probe's truth is its curve's entry in the instance's truths table
+    (:meth:`SyntheticInstance.truths`). A probe below the full test set
+    reads its test accuracy from its size rung ``(s_tr, s_te)``. The first
+    probe at a rung draws the test-sample successes of every configuration
+    at once: ``binomial(s_te, truths)`` from this thread's generator, its
+    PCG64 state keyed by ``(seed, s_tr, s_te)`` (see :meth:`_draw_rung`).
+    The backend keeps the counts, one int64 per configuration and rung.
+    NumPy draws an array's elements in order from one stream, so
+    configuration i's draw depends only on the seed, the sizes and curves
+    1..i: an instance's ``truncated(n)`` shares its draws. A probe on the
+    full test set draws nothing.
 
-    The rung cache and the generator are unguarded state, so a backend is
-    not safe to share between threads; the program runs parallel work in
-    processes.
+    Building a backend does no per-curve work: the labels and truths are
+    the instance's, and every backend of an instance shares them. Each
+    draw sets the generator's whole state first, and every write to the
+    rung cache and the instance's tables stores the value any thread
+    would, so threads may share a backend.
     """
 
     def __init__(self, instance: SyntheticInstance, seed: int):
@@ -270,9 +333,7 @@ class SyntheticBackend:
             raise ValueError("seed must be nonnegative")
         self._instance = instance
         self._seed = seed
-        self._labels = tuple(f"curve-{i + 1}" for i in range(instance.n_configs))
         self._rung_counts: dict[tuple[int, int], np.ndarray] = {}
-        self._draws = None  # the generator, made by the first draw
 
     @property
     def instance(self) -> SyntheticInstance:
@@ -284,7 +345,7 @@ class SyntheticBackend:
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._labels
+        return self._instance.labels
 
     @property
     def max_train_size(self) -> int:
@@ -294,30 +355,33 @@ class SyntheticBackend:
     def max_test_size(self) -> int:
         return self._instance.max_test_size
 
-    def _spec(self, config_id: int) -> CurveSpec:
+    def _index(self, config_id: int) -> int:
         if not 1 <= config_id <= len(self._instance.curves):
             raise ValueError(f"config id {config_id} out of range 1..{len(self._instance.curves)}")
-        return self._instance.curves[config_id - 1]
+        return config_id - 1
 
     def probe(self, config_id: int, s_tr: int, s_te: int) -> ProbeOutcome:
-        spec = self._spec(config_id)
+        i = self._index(config_id)
+        spec = self._instance.curves[i]
         if s_tr > self._instance.max_train_size or s_te > self._instance.max_test_size:
             raise ValueError("requested sizes exceed the full data sizes")
         if s_tr < 1 or s_te < 1:
             raise ValueError("sample sizes must be >= 1")
-        truth = test_accuracy = spec.true_accuracy(s_tr)
+        truth = test_accuracy = self._instance.truths(s_tr).item(i)
         # Evaluating on the entire test set measures the accuracy exactly,
         # with no draw.
         if s_te < self._instance.max_test_size:
             counts = self._rung_counts.get((s_tr, s_te))
             if counts is None:
                 counts = self._rung_counts[s_tr, s_te] = self._draw_rung(s_tr, s_te)
-            test_accuracy = counts.item(config_id - 1) / s_te
+            test_accuracy = counts.item(i) / s_te
         return ProbeOutcome(
             train_sample_size=s_tr,
             test_sample_size=s_te,
             train_accuracy=spec.train_accuracy(s_tr, truth),
             test_accuracy=test_accuracy,
+            # Per probe, not tabled: a cost can overflow at a rung that
+            # other configurations probe.
             cost=spec.cost(s_tr),
         )
 
@@ -329,29 +393,14 @@ class SyntheticBackend:
         128-bit integers, its first 16 bytes are the PCG64 state and its
         last 16 bytes, OR 1, the increment.
         """
-        truths = [c.true_accuracy(s_tr) for c in self._instance.curves]
         key = hashlib.blake2b(b"%d,%d,%d" % (self._seed, s_tr, s_te), digest_size=32).digest()
-        if self._draws is None:
-            # Made here, not at import: NumPy imports numpy.random lazily,
-            # and importing it along with this module raised the peak RSS
-            # of every process by about 0.5 MB.
-            self._draws = np.random.Generator(np.random.PCG64(0))
-        self._draws.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {
-                "state": int.from_bytes(key[:16], "little"),
-                "inc": int.from_bytes(key[16:], "little") | 1,
-            },
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._draws.binomial(s_te, truths)
+        return _keyed_generator(key).binomial(s_te, self._instance.truths(s_tr))
 
     def estimate_cost(self, config_id: int, s_tr: int, s_te: int) -> float:
-        return self._spec(config_id).cost(s_tr)
+        return self._instance.curves[self._index(config_id)].cost(s_tr)
 
     def true_accuracy(self, config_id: int) -> float:
-        return self._spec(config_id).true_accuracy(self.max_train_size)
+        return self._instance.truths(self.max_train_size).item(self._index(config_id))
 
 
 # ---------------------------------------------------------------------------

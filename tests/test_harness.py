@@ -139,6 +139,23 @@ class TestRunExperiment:
         spec = small_spec(["abc_gradient_ci", "full_run"], reps=2)
         assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
 
+    def test_pooled_cells_match_serial_ones_over_shared_tables(self):
+        # Serial cells of a (source, n) share one instance and its truths
+        # tables; a worker gets its cells' instances pickled without them.
+        source = InstanceSource("sweep", synthetic=make_sweep_instance(4, n=6))
+        spec = ExperimentSpec(
+            sources=(source,), methods=harness.METHODS, epsilon_grid=(0.01, 0.05),
+            n_configs_grid=(3, 6), repetitions=2, base_seed=9, budget_grid=(2e5,),
+        )
+        tables = source.synthetic.truncated(3)._truths
+        pooled = run_experiment(spec, workers=2)
+        assert list(tables) == [source.synthetic.max_train_size]  # the full-data table
+        serial = run_experiment(spec, workers=1)
+        assert len(tables) > 1
+        assert len(serial) == 2 * 2 * 2 * (len(harness.METHODS) + len(ABC_METHODS))
+        assert pooled == serial
+        assert run_experiment(spec, workers=2) == serial
+
     def test_budget_rows_are_labelled(self):
         rows = run_experiment(small_spec(["abc_ucb"], budget_grid=(5000.0,)))
         labels = sorted(r.instance for r in rows)

@@ -2,6 +2,8 @@ import hashlib
 import math
 import pickle
 import random
+import sys
+import threading
 from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abcselect import probes
+from abcselect import harness, probes
 from abcselect.core import ProbeOutcome, RunParams, initial_states
 from abcselect.engine import run_abc
+from abcselect.scheduler import size_ladder
 from abcselect.probes import (
     CurveSpec,
     DatasetHandle,
@@ -235,7 +238,7 @@ class TestSyntheticBackend:
         with mock.patch.object(backend, "_draw_rung", side_effect=AssertionError("drew")):
             out = backend.probe(2, 1000, 200_000)
         assert out.test_accuracy == basic_spec(a_inf=0.8).true_accuracy(1000)
-        assert backend._rung_counts == {} and backend._draws is None
+        assert backend._rung_counts == {}
 
     def test_rung_counts_match_binomial_moments(self):
         n, s_tr, s_te = 2000, 1000, 2000
@@ -257,6 +260,146 @@ class TestSyntheticBackend:
         path = tmp_path / "inst.json"
         inst.save(path)
         assert SyntheticInstance.load(path) == inst
+
+
+def ladder_rungs(instance):
+    """The size rungs of a run over ``instance`` with the acceptance suite's
+    initial sizes and growth."""
+    backend = SyntheticBackend(instance, seed=0)
+    params = RunParams.for_backend(
+        backend, epsilon=0.01, delta=0.5, initial_train_size=1000, initial_test_size=2000,
+        step_factor_c=2.0, alpha_cost_exponent=1.0, seed=0,
+    )
+    return list(size_ladder(params))
+
+
+class TestSharedTables:
+    """An instance's truths tables and truncations, shared by its backends,
+    and the one generator per thread."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [harness.make_sweep_instance, harness.make_plateau_instance,
+         harness.make_expensive_decoy_instance],
+    )
+    def test_table_is_the_scalar_truths_bit_for_bit(self, make):
+        instance = make(3)
+        rungs = ladder_rungs(instance)
+        assert len(rungs) > 5
+        for s_tr, _ in rungs:
+            table = instance.truths(s_tr)
+            assert table.dtype == np.float64 and table.shape == (instance.n_configs,)
+            scalars = b"".join(np.float64(c.true_accuracy(s_tr)).tobytes() for c in instance.curves)
+            assert table.tobytes() == scalars
+            assert instance.truths(s_tr) is table
+
+    def test_truncation_is_memoized_and_draws_as_its_parent(self):
+        curves = tuple(basic_spec(a_inf=0.6 + 0.003 * i, b=0.1 + 0.004 * i) for i in range(30))
+        instance = SyntheticInstance("t", curves, 100_000, 200_000)
+        assert instance.truncated(7) is instance.truncated(7)
+        whole = SyntheticBackend(instance, seed=2**63 - 25)
+        for s_tr in (1000, 8000):
+            whole.probe(30, s_tr, 2000)  # table and draw the parent's rung first
+        part = SyntheticBackend(instance.truncated(7), seed=2**63 - 25)
+        for s_tr in (1000, 8000):
+            for config_id in range(1, 8):
+                expected = reference_probe(instance, 2**63 - 25, config_id, s_tr, 2000)
+                assert part.probe(config_id, s_tr, 2000) == expected
+                assert whole.probe(config_id, s_tr, 2000) == expected
+
+    @staticmethod
+    def probe_all(backend, keys):
+        return [backend.probe(*key) for key in keys]
+
+    def keys(self, n):
+        return [(i, s_tr, 2 * s_tr) for s_tr in (1000, 2000, 4000, 8000) for i in range(1, n + 1)]
+
+    def test_interleaved_backends_draw_as_each_alone(self):
+        curves = tuple(basic_spec(a_inf=0.6 + 0.03 * i) for i in range(10))
+        instance = SyntheticInstance("t", curves, 100_000, 200_000)
+        keys = self.keys(10)
+        alone = {
+            seed: self.probe_all(SyntheticBackend(replace(instance), seed), keys)
+            for seed in (5, 2**40 + 1)
+        }
+        a, b = SyntheticBackend(instance, 5), SyntheticBackend(instance, 2**40 + 1)
+        together = {5: [], 2**40 + 1: []}
+        for key in keys:
+            together[5].append(a.probe(*key))
+            together[2**40 + 1].append(b.probe(*key))
+        assert together == alone
+
+    def test_threads_draw_as_each_backend_alone(self):
+        # Large rungs: NumPy releases the GIL inside a vector binomial, so a
+        # generator shared between threads would be re-keyed mid-draw.
+        curves = tuple(basic_spec(a_inf=0.6 + 0.3 * i / 2000) for i in range(2000))
+        instance = SyntheticInstance("t", curves, 10**7, 2 * 10**7)
+        keys = [(i, 1000 * 2**k, 2000 * 2**k) for k in range(12) for i in (1, 1000, 2000)]
+        seeds = (11, 2**62 + 9, 2**40 + 3)  # more threads than a 2-CPU host has
+        alone = {seed: self.probe_all(SyntheticBackend(replace(instance), seed), keys)
+                 for seed in seeds}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as CPython allows
+        try:
+            for _ in range(5):
+                got, start = {}, threading.Barrier(len(seeds))
+
+                def work(seed):
+                    start.wait(timeout=60)
+                    got[seed] = self.probe_all(SyntheticBackend(instance, seed), keys)
+
+                threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert got == alone
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_fresh_backend_over_a_used_instance_makes_no_generator_and_no_truths(self):
+        curves = tuple(basic_spec(a_inf=0.6 + 0.03 * i) for i in range(10))
+        instance = SyntheticInstance("t", curves, 100_000, 200_000)
+        keys = self.keys(10)
+        expected = self.probe_all(SyntheticBackend(instance, 8), keys)
+        costs = mock.patch.object(CurveSpec, "cost", autospec=True, side_effect=CurveSpec.cost)
+        with mock.patch("numpy.random.PCG64", side_effect=AssertionError("new PCG64")), \
+                mock.patch.object(CurveSpec, "true_accuracy",
+                                  side_effect=AssertionError("curve evaluated")), \
+                costs as cost:
+            assert self.probe_all(SyntheticBackend(instance, 8), keys) == expected
+        assert cost.call_count == len(keys)
+
+    def test_an_overflowing_cost_raises_only_for_its_configuration(self):
+        huge = CurveSpec(0.8, 0.3, 0.5, 0.1, 0.5, 1.0, 60.0)
+        instance = SyntheticInstance("t", (basic_spec(), huge, basic_spec(a_inf=0.8)),
+                                     4_000_000, 8_000_000)
+        backend = SyntheticBackend(instance, seed=1)
+        with pytest.raises(OverflowError):
+            huge.cost(4_000_000)
+        for config_id in (1, 3):
+            expected = reference_probe(instance, 1, config_id, 4_000_000, 4_000_000)
+            assert backend.probe(config_id, 4_000_000, 4_000_000) == expected
+        with pytest.raises(OverflowError):
+            backend.probe(2, 4_000_000, 4_000_000)
+        assert backend.probe(2, 1000, 2000).test_accuracy == reference_probe(
+            instance, 1, 2, 1000, 2000).test_accuracy
+
+    def test_tables_stay_out_of_pickles_equality_and_repr(self):
+        instance = harness.make_sweep_instance(2, n=12)
+        before = (pickle.dumps(instance), repr(instance), hash(instance))
+        backend = SyntheticBackend(instance.truncated(5), seed=3)
+        for s_tr, s_te in ladder_rungs(instance):
+            backend.probe(2, s_tr, s_te)
+            SyntheticBackend(instance, seed=3).probe(12, s_tr, s_te)
+        assert backend.labels == instance.truncated(5).labels == tuple(
+            f"curve-{i}" for i in range(1, 6))
+        assert (pickle.dumps(instance), repr(instance), hash(instance)) == before
+        copy = pickle.loads(before[0])
+        assert copy == instance and copy.truncated(5) is not instance.truncated(5)
+        assert SyntheticBackend(copy, seed=3).probe(12, 1000, 2000) == SyntheticBackend(
+            instance, seed=3).probe(12, 1000, 2000)
 
 
 def separable_handle(n=6000, seed=3):

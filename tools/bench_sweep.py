@@ -19,8 +19,10 @@ Each pass, in a fresh process, records:
   "disjoint from snapshot" flag, runs whose selection ends with a
   ``ci.lower`` below the largest ``ci.lower`` of its trace
   (incumbent-lower drift), the median model-cost ratio (the selection's
-  ``wall_cost_total`` over the sum of every curve's full-data cost) and a
-  digest of the runs' traces;
+  ``wall_cost_total`` over the sum of every curve's full-data cost), union
+  overruns (runs of more than n² rounds, and the largest rounds / n²), the
+  pooled violation rate of ``harness.containment_audit`` over the runs
+  beside its delta / n² threshold, and a digest of the runs' traces;
 * the experiment: ``run_experiment`` (one worker) on a grid like the
   benchmark's ``grid_small_n`` (four shipped families with 20
   configurations, all five methods, epsilon 0.01 and 0.05, n = 4 and 20,
@@ -48,8 +50,10 @@ Each pass, in a fresh process, records:
   keys a gradient-CI run visits on the sweep's family at n = 10, 100, 2000
   and 10,000, once with the sweep's seed and once with a 63-bit
   ``run_experiment`` cell seed (entries ``<n>-cell``): µs per probe on a
-  fresh backend (cold: it draws its rungs) and again on the same
-  backend (warm), and a SHA-256 over the outcomes.
+  fresh backend over a fresh copy of the instance (cold: it draws its
+  rungs), again on the same backend (warm) and on a fresh backend over
+  an instance that another backend has drawn from (experiment cell), and
+  a SHA-256 over the cold and the experiment-cell outcomes.
 
 With ``--parent DIR`` the checkout at ``DIR`` is measured too, each repeat
 running the two in alternating order, so that both sides see the same
@@ -99,6 +103,8 @@ LEARNER_ROWS, LEARNER_SEED = 100_000, 12345
 # Seeds and rows of the learner_csv runs; the quick rows are the benchmark's
 # own quick size.
 CSV_SEEDS, QUICK_CSV_SEEDS, CSV_ROWS, QUICK_CSV_ROWS = (1, 2, 3, 4, 5), (1,), 100_000, 3000
+# The synthetic probe timings, in µs per probe.
+SYNTHETIC_TIMINGS = ("cold_us_per_probe", "warm_us_per_probe", "experiment_cell_us_per_probe")
 # Seeds and units per seed of the wide_synthetic runs; the quick ones run
 # the benchmark's own quick size (n = 60).
 WIDE_SEEDS, QUICK_WIDE_SEEDS, WIDE_UNITS = (1, 2, 3, 4, 5), (1,), 5
@@ -189,22 +195,27 @@ def _worker(
                            instance.max_train_size, instance.max_test_size, seed)
         run_abc(initial_states(list(backend.labels), params), backend, params,
                 SchedulerKind.GRADIENT_CI)
-        cold, warm, spent = [], [], 0.0
-        while not cold or spent < min_seconds:
-            backend = SyntheticBackend(instance, seed=seed)
-            for sample in (cold, warm):
+        # cold: a fresh backend over a fresh copy of the instance; warm: the
+        # same backend again; experiment cell: a fresh backend over the
+        # instance that the recorded run has drawn from.
+        samples, outcomes, spent = {key: [] for key in SYNTHETIC_TIMINGS}, {}, 0.0
+        while not outcomes or spent < min_seconds:
+            fresh = SyntheticBackend(dataclasses.replace(instance), seed=seed)
+            backends = (fresh, fresh, SyntheticBackend(instance, seed=seed))
+            for name, backend in zip(SYNTHETIC_TIMINGS, backends):
                 start = time.perf_counter()
-                outcomes = [backend.probe(*key) for key in keys]
+                outcomes[name] = [backend.probe(*key) for key in keys]
                 seconds = time.perf_counter() - start
-                sample.append(seconds / len(keys) * 1e6)
+                samples[name].append(seconds / len(keys) * 1e6)
                 spent += seconds
+        cold, _, cell_case = (repr(outcomes[name]).encode() for name in SYNTHETIC_TIMINGS)
         synthetic[f"{n}-cell" if cell else str(n)] = {
             "seed": seed,
             "keys": len(keys),
             "rungs": len(set(key[1:] for key in keys)),
-            "cold_us_per_probe": statistics.median(cold),
-            "warm_us_per_probe": statistics.median(warm),
-            "outcomes_sha256": hashlib.sha256(repr(outcomes).encode()).hexdigest(),
+            **{name: statistics.median(values) for name, values in samples.items()},
+            "outcomes_sha256": hashlib.sha256(cold).hexdigest(),
+            "experiment_cell_outcomes_sha256": hashlib.sha256(cell_case).hexdigest(),
         }
 
     families: dict[str, dict] = {}
@@ -219,8 +230,9 @@ def _worker(
         for kind in kinds:
             row = {"runs": 0, "epsilon_misses": 0, "self_prunes": 0,
                    "uncertified_survivors": 0, "snapshot_disjoint_runs": 0,
-                   "incumbent_lower_drift_runs": 0, "run_digests": []}
-            cost_ratios = []
+                   "incumbent_lower_drift_runs": 0, "union_overrun_runs": 0,
+                   "run_digests": []}
+            cost_ratios, rounds_over_n2, traces = [], [], []
             for seed in range(min(runs, family_runs)):
                 instance = makers[family](seed)
                 _, selected, trace, states, params = run(instance, 1000 + seed, kind)
@@ -237,7 +249,16 @@ def _worker(
                     r.ci.lower for r in trace.rounds)
                 row["run_digests"].append(hashlib.sha256(trace.to_jsonl().encode()).hexdigest())
                 cost_ratios.append(trace.wall_cost_total / full_cost)
+                rounds_over_n2.append(trace.n_rounds / instance.n_configs**2)
+                row["union_overrun_runs"] += trace.n_rounds > instance.n_configs**2
+                traces.append(trace)
             row["cost_ratio_median"] = statistics.median(cost_ratios)
+            row["rounds_over_n2_max"] = round(max(rounds_over_n2), 4)
+            containment = harness.containment_audit(traces)
+            row["containment_probes"] = containment.pooled_probes
+            row["containment_violations"] = containment.pooled_violations
+            row["containment_rate"] = round(containment.pooled_rate, 6)
+            row["containment_threshold"] = round(containment.threshold, 6)
             families.setdefault(family, {})[kind.value] = row
 
     def experiment_spec(reps: int):
@@ -548,10 +569,12 @@ def _side(passes: list[dict]) -> dict:
     synthetic = {}
     for n, first in passes[0]["synthetic"].items():
         samples = [p["synthetic"][n] for p in passes]
-        if len({s["outcomes_sha256"] for s in samples}) != 1:
+        if len({(s["outcomes_sha256"], s["experiment_cell_outcomes_sha256"])
+                for s in samples}) != 1:
             raise SystemExit(f"synthetic probes n={n}: outcomes differ between passes")
-        synthetic[n] = {k: first[k] for k in ("seed", "keys", "rungs", "outcomes_sha256")}
-        for key in ("cold_us_per_probe", "warm_us_per_probe"):
+        synthetic[n] = {k: first[k] for k in ("seed", "keys", "rungs", "outcomes_sha256",
+                                              "experiment_cell_outcomes_sha256")}
+        for key in SYNTHETIC_TIMINGS:
             values = [s[key] for s in samples]
             synthetic[n][key] = round(statistics.median(values), 2)
             synthetic[n][f"{key}_passes"] = [round(v, 2) for v in values]
@@ -597,7 +620,8 @@ def _moved(parent: dict, change: dict) -> dict:
     new_wide = change["wide"].get("runs", {})
     moved_wide = sum(old_wide.get(seed) != run for seed, run in new_wide.items())
     moved_probes = sum(
-        parent["synthetic"].get(n, {}).get("outcomes_sha256") != side["outcomes_sha256"]
+        any(parent["synthetic"].get(n, {}).get(key) != side[key]
+            for key in ("outcomes_sha256", "experiment_cell_outcomes_sha256"))
         for n, side in change["synthetic"].items()
     )
     return {"sweep_cells": len(sweep_cells), "moved_sweep_cells": moved_sweep,
@@ -735,7 +759,7 @@ def main() -> int:
             n: {
                 key: _pair([p["synthetic"][n][key] for p in passes["parent"]],
                            [p["synthetic"][n][key] for p in passes["change"]], "us", 2)
-                for key in ("cold_us_per_probe", "warm_us_per_probe")
+                for key in SYNTHETIC_TIMINGS
             }
             for n in passes["change"][0]["synthetic"]
         }
